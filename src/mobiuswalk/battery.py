@@ -56,6 +56,8 @@ def _as_bits(block) -> np.ndarray:
     bits = np.asarray(block, dtype=np.uint8)
     if bits.ndim != 1:
         raise ValueError("block must be one-dimensional")
+    if bits.size and bits.max() > 1:
+        raise ValueError("block values must be 0 or 1")
     return bits
 
 
@@ -446,60 +448,39 @@ def correlation_dft(f_series: np.ndarray) -> np.ndarray:
 # -----------------------------------------------------------------------------
 # Battery orchestration
 
-MIN_LEN = {
-    "monobit": 100,
-    "serial_m2": 40,
-    "serial_m3": 120,
-    "serial_m4": 320,
-    "serial_m5": 800,
-    "oscillation": 100,
-    "longest_run": LONGEST_RUN_BITS,
-    "matrix_rank": 38 * 32 * 32,
-    "spectral": 1000,
-    "template": 80 * 1024,
-    "maurer": MAURER_M * (MAURER_Q + MAURER_K),
-    "entropy": 512,
-    "cumsum": 100,
-    "excursions": 1000,
-    "cross_correlation": 100,
+# name -> (minimum block length, runner(bits, alpha, seed, block_index)).
+# Runners look each test function up when called, so a test rebound on
+# this module (by a profiler, say) is the one that runs.
+TESTS = {
+    "monobit": (100, lambda b, a, s, i: [monobit(b, a)]),
+    **{f"serial_m{m}": (5 * (2 ** m) * m,
+                        lambda b, a, s, i, m=m: [serial_frequency(b, m, a)])
+       for m in (2, 3, 4, 5)},
+    "oscillation": (100, lambda b, a, s, i: [oscillation(b, a)]),
+    "longest_run": (LONGEST_RUN_BITS, lambda b, a, s, i: [longest_run_of_ones(b, a)]),
+    "matrix_rank": (38 * 32 * 32, lambda b, a, s, i: [matrix_rank(b, 32, a)]),
+    "spectral": (1000, lambda b, a, s, i: [spectral_dft(b[:b.size - b.size % 2], a)]),
+    "template": (80 * 1024, lambda b, a, s, i: [
+        nonoverlapping_template(b, DEFAULT_TEMPLATE, 80, 1024, a)]),
+    "maurer": (MAURER_M * (MAURER_Q + MAURER_K),
+               lambda b, a, s, i: [maurer_universal(b, a)]),
+    "entropy": (2 ** (4 + 5), lambda b, a, s, i: [approximate_entropy(b, 4, a)]),
+    "cumsum": (100, lambda b, a, s, i: [cumulative_sums(b, a)]),
+    "excursions": (1000, lambda b, a, s, i: random_excursions(b, a)),
+    # namespaced substream so reference bits never collide with
+    # generator streams keyed by the same (seed, index)
+    "cross_correlation": (100, lambda b, a, s, i: [
+        cross_correlation_random(b, np.random.default_rng((s, i, 2)), a)]),
 }
 
-DEFAULT_SELECTION = ("monobit", "serial_m2", "serial_m3", "serial_m4", "serial_m5",
-                     "oscillation", "longest_run", "matrix_rank", "spectral",
-                     "template", "maurer", "entropy", "cumsum", "excursions",
-                     "cross_correlation")
+DEFAULT_SELECTION = tuple(TESTS)
 
 
 def _apply_test(name: str, bits: np.ndarray, alpha: float, seed: int,
                 block_index: int) -> list[TestResult]:
-    if name == "monobit":
-        return [monobit(bits, alpha)]
-    if name.startswith("serial_m"):
-        return [serial_frequency(bits, int(name[-1]), alpha)]
-    if name == "oscillation":
-        return [oscillation(bits, alpha)]
-    if name == "longest_run":
-        return [longest_run_of_ones(bits, alpha)]
-    if name == "matrix_rank":
-        return [matrix_rank(bits, 32, alpha)]
-    if name == "spectral":
-        blk = bits if bits.size % 2 == 0 else bits[:-1]
-        return [spectral_dft(blk, alpha)]
-    if name == "template":
-        return [nonoverlapping_template(bits, DEFAULT_TEMPLATE, 80, 1024, alpha)]
-    if name == "maurer":
-        return [maurer_universal(bits, alpha)]
-    if name == "entropy":
-        return [approximate_entropy(bits, 4, alpha)]
-    if name == "cumsum":
-        return [cumulative_sums(bits, alpha)]
-    if name == "excursions":
-        return random_excursions(bits, alpha)
-    if name == "cross_correlation":
-        # namespaced substream so reference bits never collide with
-        # generator streams keyed by the same (seed, index)
-        return [cross_correlation_random(bits, np.random.default_rng((seed, block_index, 2)), alpha)]
-    raise ValueError(f"unknown test {name!r}")
+    if name not in TESTS:
+        raise ValueError(f"unknown test {name!r}")
+    return TESTS[name][1](bits, alpha, seed, block_index)
 
 
 @dataclass
@@ -567,7 +548,7 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
     blocks = list(blocks)
     selection = list(selection)
     for name in selection:
-        if name not in MIN_LEN:
+        if name not in TESTS:
             raise ValueError(f"unknown test {name!r}")
 
     def run_one(item):
@@ -575,7 +556,7 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
         bits = _as_bits(bits)
         out = []
         for name in selection:
-            if bits.size < MIN_LEN[name]:
+            if bits.size < TESTS[name][0]:
                 out.append((start, bits.size, TestResult(
                     name, {}, None, None, skipped="insufficient length")))
                 continue

@@ -2,7 +2,7 @@
 emit the reference tables, and run the extreme-time experiments.
 
 Exit codes: 0 success (and statistical pass), 1 statistical fail,
-2 usage or I/O error.
+2 usage, I/O or any other error.
 """
 
 from __future__ import annotations
@@ -87,16 +87,12 @@ def _add_tables(sub):
 
 
 def _table_rows(args):
-    if args.which == "pi":
+    if args.which in ("pi", "omega"):
         n = int(args.n)
         marks = [n * k // 10 for k in range(1, 11)] if n >= 10 else [n]
         header = ("n", "observed", "theoretical", "relative_error")
-        rows = numth.pi_table(marks)
-    elif args.which == "omega":
-        n = int(args.n)
-        marks = [n * k // 10 for k in range(1, 11)] if n >= 10 else [n]
-        header = ("n", "observed", "theoretical", "relative_error")
-        rows = numth.omega_table(marks)
+        table = numth.pi_table if args.which == "pi" else numth.omega_table
+        rows = table(marks)
     elif args.which == "divisor":
         header = ("p", "empirical", "theoretical", "relative_error")
         rows = numth.divisor_table((2, 3, 5, 7, 11, 13, 17), int(args.n))
@@ -186,7 +182,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, seqgen.SequenceFormatError) as exc:
+    except Exception as exc:  # internal errors are never a statistical fail (1)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,23 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
-from .seqgen import iter_mobius
+from .seqgen import is_prime, iter_mobius
 
 _AXIOM_TOL = 1e-12
 
 
 class UnsupportedModulusError(ValueError):
     """Composite moduli are not supported by the primitive-root build."""
-
-
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    return all(q % d for d in range(2, isqrt(q) + 1))
 
 
 def smallest_primitive_root(q: int) -> int:
@@ -73,7 +66,7 @@ class CharacterTable:
 
 
 def character_table(q: int) -> CharacterTable:
-    if not _is_prime(q):
+    if not is_prime(q):
         raise UnsupportedModulusError(
             f"modulus {q} is not prime; only prime moduli are supported")
     phi = q - 1
@@ -142,6 +135,12 @@ def generalized_mertens(chi_row: np.ndarray, x: int) -> complex:
     return complex(total)
 
 
+def _residue_sums(seg_lo: int, values: np.ndarray, q: int) -> np.ndarray:
+    """Sums of values[m - seg_lo] over each class m = r (mod q), r = 0..q-1."""
+    return np.array([values[(r - seg_lo) % q::q].sum(dtype=np.int64)
+                     for r in range(q)], dtype=np.int64)
+
+
 def residue_mertens(q: int, r: int, x: int) -> int:
     """Sum of mu(m) over m <= x with m congruent to r mod q."""
     if x < 1:
@@ -163,18 +162,11 @@ def residue_mertens_profile(q: int, x: int, checkpoints) -> dict[int, np.ndarray
     out: dict[int, np.ndarray] = {}
     ci = 0
     for seg_lo, seg_hi, mu in iter_mobius(1, x + 1):
-        if ci < len(marks) and marks[ci] < seg_hi:
-            cum = np.cumsum(mu, dtype=np.int64)
-            res = np.arange(seg_lo, seg_hi) % q
-            while ci < len(marks) and marks[ci] < seg_hi:
-                c = marks[ci]
-                upto = c - seg_lo
-                part = np.zeros(q, dtype=np.int64)
-                np.add.at(part, res[:upto + 1], mu[:upto + 1])
-                out[c] = acc + part
-                ci += 1
-        for r in range(q):
-            acc[r] += int(mu[(r - seg_lo) % q::q].sum(dtype=np.int64))
+        while ci < len(marks) and marks[ci] < seg_hi:
+            c = marks[ci]
+            out[c] = acc + _residue_sums(seg_lo, mu[:c - seg_lo + 1], q)
+            ci += 1
+        acc += _residue_sums(seg_lo, mu, q)
     return out
 
 
@@ -187,43 +179,45 @@ def squarefree_in_progression(q: int, r: int, x_max: int) -> tuple[int, float]:
     Coprime residues share (6/pi^2)(X/q) / (1 - 1/q^2); the r = 0 class
     holds the 1/(q+1) fraction of all square-free numbers.
     """
-    if not _is_prime(q):
-        raise UnsupportedModulusError(f"modulus {q} is not prime")
     if not 0 <= r < q:
         raise ValueError(f"residue must lie in [0, {q}), got {r}")
+    return int(_progression_counts(q, x_max)[r]), _density_estimate(q, r, x_max)
+
+
+def _progression_counts(q: int, x_max: int) -> np.ndarray:
+    """Square-free counts in [2, x_max] for every residue class mod q."""
+    if not is_prime(q):
+        raise UnsupportedModulusError(f"modulus {q} is not prime")
     if x_max < q:
         raise ValueError(f"x_max must be >= q, got {x_max}")
-    count = 0
-    for seg_lo, seg_hi, mu in iter_mobius(2, x_max + 1):
-        count += int(np.count_nonzero(mu[(r - seg_lo) % q::q]))
+    counts = np.zeros(q, dtype=np.int64)
+    for seg_lo, _, mu in iter_mobius(2, x_max + 1):
+        counts += _residue_sums(seg_lo, mu != 0, q)
+    return counts
+
+
+def _density_estimate(q: int, r: int, x_max: int) -> float:
     if r == 0:
-        estimate = (6.0 / math.pi ** 2) * x_max / (q + 1)
-    else:
-        estimate = (6.0 / math.pi ** 2) * (x_max / q) / (1.0 - 1.0 / q ** 2)
-    return count, estimate
+        return (6.0 / math.pi ** 2) * x_max / (q + 1)
+    return (6.0 / math.pi ** 2) * (x_max / q) / (1.0 - 1.0 / q ** 2)
 
 
 def progression_table(q: int, x_max: int) -> list[tuple]:
     """Rows (r, count, estimate, relative_error) in one streamed pass."""
-    if not _is_prime(q):
-        raise UnsupportedModulusError(f"modulus {q} is not prime")
-    counts = np.zeros(q, dtype=np.int64)
-    for seg_lo, seg_hi, mu in iter_mobius(2, x_max + 1):
-        for r in range(q):
-            counts[r] += int(np.count_nonzero(mu[(r - seg_lo) % q::q]))
+    counts = _progression_counts(q, x_max)
     rows = []
-    for r in range(q):
-        if r == 0:
-            est = (6.0 / math.pi ** 2) * x_max / (q + 1)
-        else:
-            est = (6.0 / math.pi ** 2) * (x_max / q) / (1.0 - 1.0 / q ** 2)
-        rows.append((r, int(counts[r]), est, abs(est - counts[r]) / counts[r]))
+    for r, count in enumerate(counts.tolist()):
+        if count == 0:
+            raise ValueError(f"residue class {r} mod {q} has no square-free "
+                             f"member in [2, {x_max}]")
+        est = _density_estimate(q, r, x_max)
+        rows.append((r, count, est, abs(est - count) / count))
     return rows
 
 
 def aq_bound(q: int) -> float:
     """A_q = ((q-1)/sqrt(q)) sqrt(prod_{p|q} (1 - 1/p^2)^-1) for prime q."""
-    if not _is_prime(q):
+    if not is_prime(q):
         raise UnsupportedModulusError(f"modulus {q} is not prime")
     return (q - 1) / math.sqrt(q) * math.sqrt(1.0 / (1.0 - 1.0 / q ** 2))
 

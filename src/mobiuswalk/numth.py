@@ -9,15 +9,18 @@ shifted Poisson model for the factor-count classes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, log
+from itertools import accumulate, takewhile
+from math import log
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import zeta
 
-from .seqgen import PI2_OVER_6, iter_mobius, nth_squarefree
+from .seqgen import (PI2_OVER_6, first_primes, is_prime, iter_mobius,
+                     mobius_range, nth_squarefree)
 from .statcore import PValue, chi2_pvalue
 
 _SERIES_TOL = 1e-12
@@ -27,29 +30,14 @@ def primorial(q: int) -> int:
     """Product of the first q primes (arbitrary precision)."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    out = 1
-    count = 0
-    candidate = 1
-    while count < q:
-        candidate += 1
-        if all(candidate % p for p in range(2, isqrt(candidate) + 1)):
-            out *= candidate
-            count += 1
-    return out
+    return math.prod(first_primes(q).tolist())
 
 
 @lru_cache(maxsize=None)
 def _primorials_upto(bound: int) -> tuple:
-    vals = []
-    prod = 1
-    p = 1
-    while True:
-        p += 1
-        if all(p % d for d in range(2, isqrt(p) + 1)):
-            prod *= p
-            if prod > bound:
-                return tuple(vals)
-            vals.append(prod)
+    # k primes multiply to at least 2^k, so bound.bit_length() primes suffice
+    prods = accumulate(first_primes(bound.bit_length()).tolist(), operator.mul)
+    return tuple(takewhile(lambda v: v <= bound, prods))
 
 
 def factor_squarefree(value: int) -> list[int]:
@@ -215,7 +203,7 @@ def pi_sqf_theoretical(n: int) -> float:
 def divisor_probability_check(p: int, n: int) -> tuple[float, float]:
     """(empirical, theoretical) probability that a square-free number is
     divisible by the prime p; theoretical value is 1/(p+1)."""
-    if any(p % d == 0 for d in range(2, isqrt(p) + 1)) or p < 2:
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     snap = scan_squarefree(n, div_primes=(p,))[-1]
     return snap.div_counts[p] / n, 1.0 / (p + 1)
@@ -238,11 +226,11 @@ def constants_compute() -> Constants:
     smoothed by the density 1/log t, integrated from 2.
     """
     a_const = float(np.euler_gamma)
-    mu_sign = _mu_small(128)
+    mu = mobius_range(1, 129).values
     k = 2
     while True:
         term = log(float(zeta(k))) / k
-        a_const += mu_sign[k] * term
+        a_const += mu[k - 1] * term
         if term < _SERIES_TOL:
             break
         k += 1
@@ -266,16 +254,6 @@ def constants_compute() -> Constants:
         k += 1
 
     return Constants(a_const, b_const, a_const - b_const, var_corr)
-
-
-def _mu_small(n: int) -> np.ndarray:
-    mus = np.ones(n + 1, dtype=np.int64)
-    mus[0] = 0
-    for p in range(2, n + 1):
-        if all(p % q for q in range(2, isqrt(p) + 1)):
-            mus[p::p] *= -1
-            mus[p * p::p * p] = 0
-    return mus
 
 
 def omega_mean_theoretical(n: int) -> float:

@@ -55,6 +55,19 @@ def base_primes(limit: int) -> np.ndarray:
     return cached[cached <= limit]
 
 
+def is_prime(n: int) -> bool:
+    """Trial division of n by the base primes up to sqrt(n)."""
+    return n >= 2 and bool(np.all(n % base_primes(isqrt(n)) != 0))
+
+
+def first_primes(k: int) -> np.ndarray:
+    """The first k primes, from base primes over a doubling bound."""
+    limit = 16
+    while (primes := base_primes(limit)).size < k:
+        limit *= 2
+    return primes[:k]
+
+
 @dataclass(frozen=True)
 class MobiusWindow:
     """Exact mu values on [lo, hi): values[m - lo] = mu(m)."""
@@ -179,6 +192,8 @@ class BitSequence:
 
     def slice_bits(self, ordinal: int, count: int) -> np.ndarray:
         """Unpacked {0,1} values for ordinals [ordinal, ordinal + count)."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         if not self.covers(ordinal, count):
             raise ValueError(
                 f"[{ordinal}, {ordinal + count}) not covered by sequence "

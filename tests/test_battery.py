@@ -346,3 +346,29 @@ def test_fair_coin_blocks_deterministic():
     b = list(bt.fair_coin_blocks(5, 3, 100))
     for (sa, ba), (sb, bb) in zip(a, b):
         assert sa == sb and np.array_equal(ba, bb)
+
+
+def test_blocks_must_hold_bits():
+    with pytest.raises(ValueError, match="0 or 1"):
+        bt.monobit(np.full(1000, 2, dtype=np.uint8))
+    with pytest.raises(ValueError, match="0 or 1"):
+        bt.run_battery_on_blocks([(0, np.arange(200) % 3)], selection=("cumsum",))
+    # empty blocks pass through to each test's own length check
+    assert bt._as_bits(np.array([], dtype=np.uint8)).size == 0
+    with pytest.raises(ValueError, match="at least 100"):
+        bt.monobit([])
+
+
+@pytest.mark.parametrize("name", list(bt.TESTS))
+def test_registry_minimum_lengths(name):
+    min_len = bt.TESTS[name][0]
+    bits = fair_bits(17, min_len)
+    report = bt.run_battery_on_blocks([(0, bits), (min_len, bits[:-1])],
+                                      selection=(name,))
+    at_min = [res for start, _, res in report.block_results if start == 0]
+    below = [res for start, _, res in report.block_results if start == min_len]
+    assert at_min and all(res.skipped != "insufficient length" for res in at_min)
+    assert [res.skipped for res in below] == ["insufficient length"]
+    if name not in ("excursions", "cross_correlation"):  # no check of their own
+        with pytest.raises(ValueError, match="needs at least"):
+            bt._apply_test(name, bits[:-1], 0.01, 0, 0)

@@ -101,3 +101,13 @@ def test_extremes_undersized(tmp_path):
 
 def test_usage_error():
     assert run(["bogus-subcommand"]) == 2
+
+
+def test_internal_errors_exit_2(tmp_path, capsys):
+    # squarefree_count refuses the sqrt(x) window before any sieving
+    assert run(["gen", "--start", "10000000000000000", "--count", "8",
+                "--out", str(tmp_path / "far.msf")]) == 2
+    assert "exceeds budget" in capsys.readouterr().err
+    assert run(["tables", "--which", "residue", "--q", "11", "--x", "11",
+                "--out", str(tmp_path / "res.csv")]) == 2
+    assert "residue class" in capsys.readouterr().err

@@ -120,3 +120,16 @@ def test_aq_diagnostic():
     for ratio in diag.max_ratio_per_char.values():
         assert 1.0 <= ratio < 10.0
     assert diag.slack > 0
+
+
+def test_progression_table_rejects_empty_classes():
+    # 1 is not counted and 12 > 11, so the class r = 1 mod 11 is empty
+    with pytest.raises(ValueError, match="residue class 1 mod 11"):
+        dirichlet.progression_table(11, 11)
+    with pytest.raises(ValueError, match="x_max"):
+        dirichlet.progression_table(11, 10)
+    count, est = dirichlet.squarefree_in_progression(11, 4, 11)
+    assert count == 0 and est > 0
+    rows = dirichlet.progression_table(5, 30)
+    assert [row[1] for row in rows] == [
+        dirichlet.squarefree_in_progression(5, r, 30)[0] for r in range(5)]

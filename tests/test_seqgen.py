@@ -168,3 +168,20 @@ def test_slice_coverage_error():
         seq.slice_bits(9, 10)
     with pytest.raises(ValueError):
         seq.slice_bits(55, 10)
+
+
+def test_slice_rejects_negative_count():
+    seq = seqgen.restricted_sequence(10, 50)
+    assert seq.slice_bits(20, 0).size == 0
+    with pytest.raises(ValueError, match="count"):
+        seq.slice_bits(20, -5)
+    with pytest.raises(ValueError, match="count"):
+        seq.slice_mu(20, -1)
+
+
+def test_prime_helpers_against_trial_division():
+    oracle = [n for n in range(2000) if n >= 2 and all(n % d for d in range(2, n))]
+    assert [n for n in range(2000) if seqgen.is_prime(n)] == oracle
+    assert seqgen.first_primes(len(oracle)).tolist() == oracle
+    assert seqgen.first_primes(0).size == 0
+    assert seqgen.is_prime(1_000_000_007) and not seqgen.is_prime(1_000_000_007 * 3)
