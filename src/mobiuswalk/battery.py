@@ -53,10 +53,13 @@ class TestResult:
 
 
 def _as_bits(block) -> np.ndarray:
-    bits = np.asarray(block, dtype=np.uint8)
-    if bits.ndim != 1:
+    raw = np.asarray(block)
+    if raw.ndim != 1:
         raise ValueError("block must be one-dimensional")
-    if bits.size and bits.max() > 1:
+    bits = raw.astype(np.uint8, copy=False)
+    # any other dtype can hide a non-bit in the cast (0.7 -> 0, 256 -> 0)
+    cast_exact = raw.dtype in (np.uint8, np.bool_) or np.array_equal(bits, raw)
+    if not cast_exact or (bits.size and bits.max() > 1):
         raise ValueError("block values must be 0 or 1")
     return bits
 
@@ -176,6 +179,8 @@ def matrix_rank_probability_exact(h: int, r: int) -> Fraction:
 
 def matrix_rank(block, h: int = 32, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Rank classes (h, h-1, lower) of disjoint h x h binary matrices."""
+    if not 1 <= h <= 64:
+        raise ValueError(f"h must lie in 1..64 (rows are packed into uint64), got {h}")
     bits = _as_bits(block)
     _require(bits, 38 * h * h, f"matrix_rank h={h}")
     n_mats = bits.size // (h * h)

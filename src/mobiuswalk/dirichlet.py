@@ -162,11 +162,14 @@ def residue_mertens_profile(q: int, x: int, checkpoints) -> dict[int, np.ndarray
     out: dict[int, np.ndarray] = {}
     ci = 0
     for seg_lo, seg_hi, mu in iter_mobius(1, x + 1):
+        cut = 0
         while ci < len(marks) and marks[ci] < seg_hi:
-            c = marks[ci]
-            out[c] = acc + _residue_sums(seg_lo, mu[:c - seg_lo + 1], q)
+            end = marks[ci] - seg_lo + 1
+            acc += _residue_sums(seg_lo + cut, mu[cut:end], q)
+            out[marks[ci]] = acc.copy()
+            cut = end
             ci += 1
-        acc += _residue_sums(seg_lo, mu, q)
+        acc += _residue_sums(seg_lo + cut, mu[cut:], q)
     return out
 
 

@@ -17,13 +17,14 @@ from math import log
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import zeta
+from scipy.special import expi, zeta
 
 from .seqgen import (PI2_OVER_6, first_primes, is_prime, iter_mobius,
                      mobius_range, nth_squarefree)
 from .statcore import PValue, chi2_pvalue
 
 _SERIES_TOL = 1e-12
+_MAX_OMEGA = 24  # omega = 24 first occurs at the 24th primorial, about 2.4e34
 
 
 def primorial(q: int) -> int:
@@ -87,108 +88,70 @@ class SqfSnapshot:
     div_counts: dict  # prime -> # divisible
 
 
+class _Tally:
+    """Running statistics over the square-free numbers fed to it so far."""
+
+    def __init__(self, div_primes: tuple):
+        self.count = self.prime_count = self.mertens = 0
+        self.omega_sum = self.omega_sumsq = 0
+        self.class_counts = np.zeros(_MAX_OMEGA, dtype=np.int64)
+        self.div_counts = {int(p): 0 for p in div_primes}
+
+    def add(self, lo: int, mu: np.ndarray, om: np.ndarray) -> None:
+        """Count the stretch of integers lo, lo + 1, ... with these mu and omega."""
+        mask = mu != 0
+        sel = om[mask]
+        self.count += sel.size
+        self.prime_count += int(np.count_nonzero(sel == 1))
+        self.omega_sum += int(sel.sum(dtype=np.int64))
+        self.omega_sumsq += int((sel.astype(np.int64) ** 2).sum())
+        self.mertens += int(mu.sum(dtype=np.int64))
+        self.class_counts += np.bincount(sel, minlength=_MAX_OMEGA)
+        for p in self.div_counts:
+            self.div_counts[p] += int(mask[(-lo) % p::p].sum())
+
+    def snapshot(self, sqf_n: int) -> SqfSnapshot:
+        return SqfSnapshot(self.count, sqf_n, self.prime_count, self.omega_sum,
+                           self.omega_sumsq, self.mertens, self.class_counts.copy(),
+                           dict(self.div_counts))
+
+
 def scan_squarefree(n: int, checkpoints: tuple = (), div_primes: tuple = ()) -> list[SqfSnapshot]:
     """One streamed pass over the first n square-free numbers.
 
     Returns snapshots at each requested checkpoint ordinal plus the final
-    one at n.  Per-checkpoint work inside a segment is O(1) after a single
-    set of prefix sums, so thousands of checkpoints are cheap.
+    one at n.  Checkpoints cut each sieve segment into stretches; every
+    stretch is tallied once into a running total, and a snapshot is that
+    total at a cut, so thousands of checkpoints are cheap.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     marks = sorted(set(int(c) for c in checkpoints) | {n})
     if marks[0] < 1 or marks[-1] > n:
         raise ValueError(f"checkpoints must lie in [1, {n}]")
-    hi = nth_squarefree(n) + 1
-    max_k = 24
-
-    seen = 0
-    prime_count = 0
-    omega_sum = 0
-    omega_sumsq = 0
-    mertens = 0
-    cls = np.zeros(max_k, dtype=np.int64)
-    div = {int(p): 0 for p in div_primes}
+    tally = _Tally(div_primes)
     snapshots: list[SqfSnapshot] = []
     next_mark = 0
-
-    for seg_lo, seg_hi, mu, om in iter_mobius(1, hi, want_omega=True):
-        mask = mu != 0
-        seg_count = int(np.count_nonzero(mask))
-
-        if next_mark < len(marks) and seen + seg_count >= marks[next_mark]:
-            # prefix sums once per segment, then O(1) per checkpoint
-            cum_mask = np.cumsum(mask)
-            om_sel = np.where(mask, om, 0).astype(np.int64)
-            cum_om = np.cumsum(om_sel)
-            cum_om2 = np.cumsum(om_sel * om_sel)
-            cum_prime = np.cumsum(mask & (om == 1))
-            cum_mu = np.cumsum(mu, dtype=np.int64)
-            cum_cls = {k: np.cumsum(mask & (om == k)) for k in range(max_k)
-                       if np.any(om[mask] == k)}
-            div_pos = {p: np.nonzero(mask[(-seg_lo) % p::p])[0] for p in div}
-            while next_mark < len(marks) and seen + seg_count >= marks[next_mark]:
-                c = marks[next_mark]
-                i = int(np.searchsorted(cum_mask, c - seen, side="left"))
-                cp_cls = cls.copy()
-                for k, cum in cum_cls.items():
-                    cp_cls[k] += int(cum[i])
-                snapshots.append(SqfSnapshot(
-                    n=c,
-                    sqf_n=seg_lo + i,
-                    prime_count=prime_count + int(cum_prime[i]),
-                    omega_sum=omega_sum + int(cum_om[i]),
-                    omega_sumsq=omega_sumsq + int(cum_om2[i]),
-                    mertens=mertens + int(cum_mu[i]),
-                    class_counts=cp_cls,
-                    div_counts={p: div[p] + int(np.searchsorted(
-                        pos, (i - (-seg_lo) % p) // p, side="right"))
-                        for p, pos in div_pos.items()},
-                ))
-                next_mark += 1
-
-        sel = om[mask]
-        prime_count += int(np.count_nonzero(sel == 1))
-        omega_sum += int(sel.sum(dtype=np.int64))
-        omega_sumsq += int((sel.astype(np.int64) ** 2).sum())
-        mertens += int(mu.sum(dtype=np.int64))
-        cls += np.bincount(sel, minlength=max_k).astype(np.int64)
-        for p in div:
-            div[p] += int(mask[(-seg_lo) % p::p].sum())
-        seen += seg_count
-        if next_mark >= len(marks):
-            break
+    for seg_lo, _, mu, om in iter_mobius(1, nth_squarefree(n) + 1, want_omega=True):
+        seen, cut = tally.count, 0
+        sqf = np.flatnonzero(mu)
+        # the c-th square-free number overall is the (c - seen)-th of this segment
+        while next_mark < len(marks) and marks[next_mark] - seen <= sqf.size:
+            end = int(sqf[marks[next_mark] - seen - 1]) + 1
+            tally.add(seg_lo + cut, mu[cut:end], om[cut:end])
+            snapshots.append(tally.snapshot(seg_lo + end - 1))
+            cut = end
+            next_mark += 1
+        tally.add(seg_lo + cut, mu[cut:], om[cut:])
     return snapshots
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-6, max_depth: int = 60) -> float:
-    """Plain adaptive Simpson quadrature to absolute tolerance."""
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    m = 0.5 * (a + b)
-    stack = [(a, b, f(a), f(m), f(b), simpson(a, b, f(a), f(m), f(b)), tol, 0)]
-    total = 0.0
-    while stack:
-        x0, x2, f0, f1, f2, whole, eps, depth = stack.pop()
-        xm = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        flm, frm = f(lm), f(rm)
-        left = simpson(x0, xm, f0, flm, f1)
-        right = simpson(xm, x2, f1, frm, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
-            total += left + right + (left + right - whole) / 15.0
-        else:
-            stack.append((x0, xm, f0, flm, f1, left, eps / 2.0, depth + 1))
-            stack.append((xm, x2, f1, frm, f2, right, eps / 2.0, depth + 1))
-    return total
-
-
-def li_squarefree(x: float, tol: float = 1e-6) -> float:
-    """Prime-count estimate along square-free numbers: int_2^x dt/log(t+1)."""
+def li_squarefree(x: float) -> float:
+    """Prime-count estimate along square-free numbers: int_2^x dt/log(t+1),
+    which is li(x+1) - li(3) in closed form."""
     if x <= 2:
         return 0.0
-    return adaptive_simpson(lambda t: 1.0 / log(t + 1.0), 2.0, float(x), tol)
+    return float(expi(log(x + 1.0)) - expi(log(3.0)))
 
 
 def pi_sqf_exact(n: int) -> int:

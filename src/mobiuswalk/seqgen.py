@@ -12,6 +12,8 @@ prime factor > sqrt(hi) is left over.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from math import isqrt
@@ -266,20 +268,28 @@ def generate_sequence_file(path, start_ordinal: int, length: int,
     """Stream the sequence straight to disk; returns a small summary.
 
     Memory use stays bounded by the segment size, so lengths of 1e9+
-    ordinals are fine.
+    ordinals are fine.  On failure the partial file is removed.
     """
     ones = 0
     carry = np.empty(0, dtype=np.uint8)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, start_ordinal, length))
-        for chunk in iter_restricted_bits(start_ordinal, length, segment):
-            ones += int(chunk.sum())
-            buf = np.concatenate([carry, chunk]) if carry.size else chunk
-            whole = (buf.size // 8) * 8
-            np.packbits(buf[:whole], bitorder="little").tofile(fh)
-            carry = buf[whole:]
-        if carry.size:
-            np.packbits(carry, bitorder="little").tofile(fh)
+        try:
+            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, start_ordinal, length))
+            for chunk in iter_restricted_bits(start_ordinal, length, segment):
+                ones += int(chunk.sum())
+                buf = np.concatenate([carry, chunk]) if carry.size else chunk
+                whole = (buf.size // 8) * 8
+                np.packbits(buf[:whole], bitorder="little").tofile(fh)
+                carry = buf[whole:]
+            if carry.size:
+                np.packbits(carry, bitorder="little").tofile(fh)
+        except BaseException:
+            # a partial file would pass for a header with a short payload;
+            # devices, pipes and symlinks given as the output are left alone
+            fh.close()
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+            raise
     return {
         "start_ordinal": start_ordinal,
         "length": length,

@@ -129,6 +129,8 @@ def test_matrix_rank_test():
     assert res10.params["H"] == 10
     with pytest.raises(ValueError):
         bt.matrix_rank(np.ones(100, dtype=np.uint8), 32)
+    with pytest.raises(ValueError, match="1..64"):
+        bt.matrix_rank(fair_bits(6, 38 * 65 * 65), 65)
 
 
 def test_spectral():
@@ -351,6 +353,8 @@ def test_fair_coin_blocks_deterministic():
 def test_blocks_must_hold_bits():
     with pytest.raises(ValueError, match="0 or 1"):
         bt.monobit(np.full(1000, 2, dtype=np.uint8))
+    with pytest.raises(ValueError, match="0 or 1"):
+        bt.monobit(np.full(1000, 0.7))
     with pytest.raises(ValueError, match="0 or 1"):
         bt.run_battery_on_blocks([(0, np.arange(200) % 3)], selection=("cumsum",))
     # empty blocks pass through to each test's own length check

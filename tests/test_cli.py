@@ -108,6 +108,7 @@ def test_internal_errors_exit_2(tmp_path, capsys):
     assert run(["gen", "--start", "10000000000000000", "--count", "8",
                 "--out", str(tmp_path / "far.msf")]) == 2
     assert "exceeds budget" in capsys.readouterr().err
+    assert not (tmp_path / "far.msf").exists()
     assert run(["tables", "--which", "residue", "--q", "11", "--x", "11",
                 "--out", str(tmp_path / "res.csv")]) == 2
     assert "residue class" in capsys.readouterr().err

@@ -87,6 +87,17 @@ def test_residue_mertens_profile():
         assert arr.tolist() == expect
 
 
+def test_residue_mertens_profile_at_segment_edge():
+    edge = seqgen.DEFAULT_SEGMENT  # the last integer of the first sieve segment
+    xs = (edge - 1, edge, edge + 1)
+    prof = dirichlet.residue_mertens_profile(3, edge + 1, xs)
+    for x in xs:
+        assert prof[x].tolist() == [dirichlet.residue_mertens(3, r, x) for r in range(3)]
+    # mu(edge) = 0, so only a cut below edge - 1 leaves a stretch to carry over
+    carried = dirichlet.residue_mertens_profile(3, edge + 1, (edge - 2, edge + 1))
+    assert carried[edge + 1].tolist() == prof[edge + 1].tolist()
+
+
 def test_squarefree_in_progression_small():
     # square-free numbers in [2, 30]: residue classes mod 5 by enumeration
     win = seqgen.mobius_range(2, 31).values

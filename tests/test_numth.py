@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mobiuswalk import numth, seqgen
+from mobiuswalk import mertens, numth, seqgen
 
 
 def test_primorial_table():
@@ -47,9 +48,7 @@ def test_omega():
         numth.omega(4)
 
 
-def test_adaptive_simpson():
-    val = numth.adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-9)
-    assert abs(val - 2.0) < 1e-8
+def test_li_squarefree_against_quad():
     ref = quad(lambda t: 1 / math.log(t + 1), 2, 10 ** 5)[0]
     assert abs(numth.li_squarefree(10 ** 5) - ref) < 1e-5
 
@@ -81,6 +80,32 @@ def test_divisor_probability_converges():
     for p in (2, 3, 5, 7, 11, 13, 17, 19):
         emp = snap.div_counts[p] / 10 ** 6
         assert abs(emp - 1 / (p + 1)) < 3 / math.sqrt(10 ** 6)
+
+
+def _same_snapshot(a, b):
+    return (np.array_equal(a.class_counts, b.class_counts)
+            and replace(a, class_counts=None) == replace(b, class_counts=None))
+
+
+def test_scan_at_segment_edge():
+    # ordinal q_edge is the last square-free number of the first sieve segment
+    edge = seqgen.DEFAULT_SEGMENT
+    q_edge = seqgen.squarefree_count(edge)
+    marks = (q_edge - 1, q_edge, q_edge + 1)
+    primes = (2, 3, 7, 65537)
+    snaps = numth.scan_squarefree(q_edge + 1, marks, primes)
+    assert [s.n for s in snaps] == list(marks)
+    assert snaps[1].sqf_n <= edge < snaps[2].sqf_n
+    sqf = seqgen.mobius_range(1, snaps[-1].sqf_n + 1).values != 0
+    for c, snap in zip(marks, snaps):
+        assert snap.sqf_n == seqgen.nth_squarefree(c)
+        assert snap.mertens == mertens.mertens_restricted(c)
+        assert snap.prime_count == seqgen.base_primes(snap.sqf_n).size
+        assert snap.div_counts == {p: int(sqf[p - 1:snap.sqf_n:p].sum()) for p in primes}
+        assert _same_snapshot(snap, numth.scan_squarefree(c, div_primes=primes)[-1])
+    # the cut at q_edge leaves no square-free number to carry over; one below does
+    carried = numth.scan_squarefree(q_edge + 1, (q_edge - 1,), primes)[-1]
+    assert _same_snapshot(carried, snaps[-1])
 
 
 def test_constants():
