@@ -481,13 +481,6 @@ TESTS = {
 DEFAULT_SELECTION = tuple(TESTS)
 
 
-def _apply_test(name: str, bits: np.ndarray, alpha: float, seed: int,
-                block_index: int) -> list[TestResult]:
-    if name not in TESTS:
-        raise ValueError(f"unknown test {name!r}")
-    return TESTS[name][1](bits, alpha, seed, block_index)
-
-
 @dataclass
 class BatteryReport:
     alpha: float
@@ -552,6 +545,8 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
     """
     blocks = list(blocks)
     selection = list(selection)
+    if not selection:
+        raise ValueError("empty test selection")
     for name in selection:
         if name not in TESTS:
             raise ValueError(f"unknown test {name!r}")
@@ -565,18 +560,14 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
                 out.append((start, bits.size, TestResult(
                     name, {}, None, None, skipped="insufficient length")))
                 continue
-            for res in _apply_test(name, bits, alpha, seed, idx):
+            for res in TESTS[name][1](bits, alpha, seed, idx):
                 out.append((start, bits.size, res))
         return out
 
     report = BatteryReport(alpha=alpha)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(run_one, enumerate(blocks)):
-                report.block_results.extend(chunk)
-    else:
-        for item in enumerate(blocks):
-            report.block_results.extend(run_one(item))
+    with ThreadPoolExecutor(max_workers=max(1, workers or 1)) as pool:
+        for chunk in pool.map(run_one, enumerate(blocks)):
+            report.block_results.extend(chunk)
     report.aggregate()
     return report
 

@@ -161,7 +161,7 @@ def residue_mertens_profile(q: int, x: int, checkpoints) -> dict[int, np.ndarray
     acc = np.zeros(q, dtype=np.int64)
     out: dict[int, np.ndarray] = {}
     ci = 0
-    for seg_lo, seg_hi, mu in iter_mobius(1, x + 1):
+    for seg_lo, seg_hi, mu in iter_mobius(1, marks[-1] + 1):
         cut = 0
         while ci < len(marks) and marks[ci] < seg_hi:
             end = marks[ci] - seg_lo + 1

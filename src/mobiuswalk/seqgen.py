@@ -107,14 +107,13 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, want_omega: bool):
     return mu, omega
 
 
-def iter_mobius(lo: int, hi: int, segment: int = DEFAULT_SEGMENT,
-                want_omega: bool = False) -> Iterator[tuple]:
+def iter_mobius(lo: int, hi: int, want_omega: bool = False) -> Iterator[tuple]:
     """Stream (seg_lo, seg_hi, mu[, omega]) covering [lo, hi) in order."""
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     primes = base_primes(isqrt(hi - 1) + 1)
-    for seg_lo in range(lo, hi, segment):
-        seg_hi = min(seg_lo + segment, hi)
+    for seg_lo in range(lo, hi, DEFAULT_SEGMENT):
+        seg_hi = min(seg_lo + DEFAULT_SEGMENT, hi)
         mu, omega = _sieve_segment(seg_lo, seg_hi, primes, want_omega)
         if want_omega:
             yield seg_lo, seg_hi, mu, omega
@@ -122,16 +121,15 @@ def iter_mobius(lo: int, hi: int, segment: int = DEFAULT_SEGMENT,
             yield seg_lo, seg_hi, mu
 
 
-def mobius_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT,
-                 max_window: int = MAX_WINDOW) -> MobiusWindow:
+def mobius_range(lo: int, hi: int) -> MobiusWindow:
     """Exact mu values on [lo, hi) as one in-memory window."""
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    if hi - lo > max_window:
+    if hi - lo > MAX_WINDOW:
         raise SegmentBudgetError(
-            f"window of {hi - lo} integers exceeds budget {max_window}; "
+            f"window of {hi - lo} integers exceeds budget {MAX_WINDOW}; "
             "use iter_mobius to stream")
-    chunks = [mu for _, _, mu in iter_mobius(lo, hi, segment)]
+    chunks = [mu for _, _, mu in iter_mobius(lo, hi)]
     return MobiusWindow(lo, hi, np.concatenate(chunks))
 
 
@@ -149,23 +147,19 @@ def nth_squarefree(n: int) -> int:
     """The n-th square-free number (1-based, sqf_1 = 1)."""
     if n < 1:
         raise ValueError(f"ordinal must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    # Q(x) ~ x * 6/pi^2, so bracket around the linear estimate and bisect
-    # for the smallest x with Q(x) >= n; that x is itself square-free.
-    guess = int(n * PI2_OVER_6)
-    lo, hi = max(1, guess - 10), guess + 10
-    while squarefree_count(lo) >= n:
-        lo = max(1, lo - max(64, (hi - lo) * 2))
-    while squarefree_count(hi) < n:
-        hi += max(64, (hi - lo) * 2)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if squarefree_count(mid) >= n:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # Q(x) = 6x/pi^2 + O(sqrt x): one exact count at the linear estimate x
+    # leaves sqf_n near x.  Sieve a window around x, doubled until it holds
+    # sqf_n; the square-free numbers of the window in [lo, x] fix its rank.
+    x = int(n * PI2_OVER_6)
+    q = squarefree_count(x)
+    w = 64 + 2 * abs(n - q)
+    while True:
+        lo = max(1, x - w)
+        sqf = lo + np.flatnonzero(mobius_range(lo, x + w).values)
+        k = n - q + int(np.count_nonzero(sqf <= x))
+        if 1 <= k <= sqf.size:
+            return int(sqf[k - 1])
+        w *= 2
 
 
 @dataclass(frozen=True)
@@ -210,8 +204,7 @@ class BitSequence:
         return (2 * self.slice_bits(ordinal, count).astype(np.int8) - 1)
 
 
-def iter_restricted_bits(start_ordinal: int, length: int,
-                         segment: int = DEFAULT_SEGMENT) -> Iterator[np.ndarray]:
+def iter_restricted_bits(start_ordinal: int, length: int) -> Iterator[np.ndarray]:
     """Stream unpacked {0,1} chunks of the sequence in ordinal order."""
     if start_ordinal < 1:
         raise ValueError(f"start_ordinal must be >= 1, got {start_ordinal}")
@@ -220,7 +213,7 @@ def iter_restricted_bits(start_ordinal: int, length: int,
     lo = nth_squarefree(start_ordinal)
     hi = nth_squarefree(start_ordinal + length - 1) + 1
     remaining = length
-    for _, _, mu in iter_mobius(lo, hi, segment):
+    for _, _, mu in iter_mobius(lo, hi):
         nz = mu[mu != 0]
         if nz.size > remaining:
             nz = nz[:remaining]
@@ -232,10 +225,9 @@ def iter_restricted_bits(start_ordinal: int, length: int,
         raise AssertionError("sieve exhausted before covering the request")
 
 
-def restricted_sequence(start_ordinal: int, length: int,
-                        segment: int = DEFAULT_SEGMENT) -> BitSequence:
+def restricted_sequence(start_ordinal: int, length: int) -> BitSequence:
     """Materialize the bit sequence for [start_ordinal, start_ordinal+length)."""
-    chunks = list(iter_restricted_bits(start_ordinal, length, segment))
+    chunks = list(iter_restricted_bits(start_ordinal, length))
     return BitSequence.from_bits(start_ordinal, np.concatenate(chunks))
 
 
@@ -263,8 +255,7 @@ def read_sequence(path) -> BitSequence:
     return BitSequence(start_ordinal, length, payload)
 
 
-def generate_sequence_file(path, start_ordinal: int, length: int,
-                           segment: int = DEFAULT_SEGMENT) -> dict:
+def generate_sequence_file(path, start_ordinal: int, length: int) -> dict:
     """Stream the sequence straight to disk; returns a small summary.
 
     Memory use stays bounded by the segment size, so lengths of 1e9+
@@ -275,7 +266,7 @@ def generate_sequence_file(path, start_ordinal: int, length: int,
     with open(path, "wb") as fh:
         try:
             fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, start_ordinal, length))
-            for chunk in iter_restricted_bits(start_ordinal, length, segment):
+            for chunk in iter_restricted_bits(start_ordinal, length):
                 ones += int(chunk.sum())
                 buf = np.concatenate([carry, chunk]) if carry.size else chunk
                 whole = (buf.size // 8) * 8

@@ -261,7 +261,7 @@ def test_criterion_10c_offset_1e12_spot_check():
     bits = block.slice_bits(10 ** 12, 10 ** 5)
     for name in ("monobit", "serial_m2", "serial_m4", "oscillation",
                  "spectral", "entropy", "cumsum"):
-        res = bt._apply_test(name, bits, 0.01, 1, 0)[0]
+        res = bt.TESTS[name][1](bits, 0.01, 1, 0)[0]
         assert res.p_value.passed, (name, res.p_value.value)
     _verdict("10c single-block spot check at ordinal 1e12")
 

@@ -305,9 +305,9 @@ def test_run_battery_counts_and_determinism():
     assert len(rep.block_results) == 10
     assert set(rep.proportions) == {"monobit"}
     assert rep.uniformity["monobit"] is None  # below the 50-sample floor
-    # empty selection -> empty report
-    rep0 = bt.run_battery(ens, seq, selection=())
-    assert rep0.block_results == []
+    # an empty selection runs no test, so it is refused rather than passed
+    with pytest.raises(ValueError, match="empty test selection"):
+        bt.run_battery(ens, seq, selection=())
     # determinism including rng-bearing tests, independent of worker count
     r1 = bt.run_battery(ens, seq, selection=("monobit", "cross_correlation"),
                         seed=9, workers=1)
@@ -375,4 +375,4 @@ def test_registry_minimum_lengths(name):
     assert [res.skipped for res in below] == ["insufficient length"]
     if name not in ("excursions", "cross_correlation"):  # no check of their own
         with pytest.raises(ValueError, match="needs at least"):
-            bt._apply_test(name, bits[:-1], 0.01, 0, 0)
+            bt.TESTS[name][1](bits[:-1], 0.01, 0, 0)

@@ -112,3 +112,12 @@ def test_internal_errors_exit_2(tmp_path, capsys):
     assert run(["tables", "--which", "residue", "--q", "11", "--x", "11",
                 "--out", str(tmp_path / "res.csv")]) == 2
     assert "residue class" in capsys.readouterr().err
+    # an empty selection runs no test, so it must not read as a pass
+    seq_path = tmp_path / "s.msf"
+    assert run(["gen", "--count", "2000", "--out", str(seq_path)]) == 0
+    for tests in ("", ","):
+        assert run(["battery", "--seq", str(seq_path), "--tests", tests,
+                    "--blocks", "2", "--block-len", "1000",
+                    "--out", str(tmp_path / "rep.jsonl")]) == 2
+        assert "empty test selection" in capsys.readouterr().err
+    assert not (tmp_path / "rep.jsonl").exists()

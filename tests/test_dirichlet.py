@@ -98,6 +98,22 @@ def test_residue_mertens_profile_at_segment_edge():
     assert carried[edge + 1].tolist() == prof[edge + 1].tolist()
 
 
+def test_residue_mertens_profile_stops_at_last_checkpoint(monkeypatch):
+    his = []
+
+    def recording(lo, hi):
+        his.append(hi)
+        return seqgen.iter_mobius(lo, hi)
+
+    monkeypatch.setattr(dirichlet, "iter_mobius", recording)
+    far = dirichlet.residue_mertens_profile(7, 2 * 10 ** 7, (10, 1000))
+    assert his == [1001]
+    near = dirichlet.residue_mertens_profile(7, 1000, (10, 1000))
+    assert {c: a.tolist() for c, a in far.items()} == {c: a.tolist() for c, a in near.items()}
+    with pytest.raises(ValueError):
+        dirichlet.residue_mertens_profile(7, 999, (10, 1000))
+
+
 def test_squarefree_in_progression_small():
     # square-free numbers in [2, 30]: residue classes mod 5 by enumeration
     win = seqgen.mobius_range(2, 31).values

@@ -80,6 +80,20 @@ def test_nth_squarefree():
     assert seqgen.nth_squarefree(607926) == 999997
     with pytest.raises(ValueError):
         seqgen.nth_squarefree(0)
+    # every ordinal up to 5000, and seeded random ones below 3e5, against
+    # the nonzero positions of a sieve window
+    sqf = 1 + np.flatnonzero(seqgen.mobius_range(1, 500_000).values)
+    assert [seqgen.nth_squarefree(n) for n in range(1, 5001)] == sqf[:5000].tolist()
+    for n in np.random.default_rng(5).integers(5001, 300_000, size=200):
+        assert seqgen.nth_squarefree(int(n)) == sqf[n - 1], n
+
+
+def test_nth_squarefree_near_1e12():
+    # checked through the exact count and mu, not through the window search
+    for n in (10 ** 12 - 7, 10 ** 12 + 123_457):
+        y = seqgen.nth_squarefree(n)
+        assert seqgen.squarefree_count(y) == n
+        assert seqgen.mobius_range(y, y + 1).values[0] != 0
 
 
 def test_nth_squarefree_scaling():
