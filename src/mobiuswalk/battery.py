@@ -22,8 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .mertens import Ensemble
 from .seqgen import BitSequence
-from .statcore import (DEFAULT_ALPHA, PValue, chi2_pvalue, erfc_pvalue,
-                       incomplete_gamma_q, proportion_check,
+from .statcore import (DEFAULT_ALPHA, UNIFORMITY_MIN_SIZE, PValue, chi2_pvalue,
+                       erfc_pvalue, incomplete_gamma_q, proportion_check,
                        pvalue_uniformity)
 
 LONGEST_RUN_BITS = 6272
@@ -500,7 +500,7 @@ class BatteryReport:
             pvals = [res.p_value.value for res in results]
             self.proportions[name] = proportion_check(pvals, self.alpha)
             self.uniformity[name] = (pvalue_uniformity(pvals)
-                                     if len(pvals) >= 50 else None)
+                                     if len(pvals) >= UNIFORMITY_MIN_SIZE else None)
 
     @property
     def all_proportions_inside(self) -> bool:

@@ -66,6 +66,8 @@ def cmd_battery(args) -> int:
     workers = args.workers if args.workers is not None else os.cpu_count()
     report = battery.run_battery(ens, seq, selection, seed=args.seed,
                                  alpha=args.alpha, workers=workers)
+    if not report.proportions:
+        raise ValueError("no selected test ran on blocks of this length")
     if args.out:
         with open(args.out, "w") as fh:
             report.write_jsonl(fh)

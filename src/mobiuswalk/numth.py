@@ -19,8 +19,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import expi, zeta
 
-from .seqgen import (PI2_OVER_6, first_primes, is_prime, iter_mobius,
-                     mobius_range, nth_squarefree)
+from .seqgen import (PI2_OVER_6, first_primes, iter_mobius, mobius_range,
+                     nth_squarefree, squarefree_multiples)
 from .statcore import PValue, chi2_pvalue
 
 _SERIES_TOL = 1e-12
@@ -85,38 +85,27 @@ class SqfSnapshot:
     omega_sumsq: int
     mertens: int
     class_counts: np.ndarray  # index k -> # with omega == k (k=0 counts the unit)
-    div_counts: dict  # prime -> # divisible
 
 
 class _Tally:
-    """Running statistics over the square-free numbers fed to it so far."""
+    """Running mu sum and omega histogram, whose moments give primes and omega sums."""
 
-    def __init__(self, div_primes: tuple):
-        self.count = self.prime_count = self.mertens = 0
-        self.omega_sum = self.omega_sumsq = 0
+    def __init__(self):
+        self.mertens = 0
         self.class_counts = np.zeros(_MAX_OMEGA, dtype=np.int64)
-        self.div_counts = {int(p): 0 for p in div_primes}
 
-    def add(self, lo: int, mu: np.ndarray, om: np.ndarray) -> None:
-        """Count the stretch of integers lo, lo + 1, ... with these mu and omega."""
-        mask = mu != 0
-        sel = om[mask]
-        self.count += sel.size
-        self.prime_count += int(np.count_nonzero(sel == 1))
-        self.omega_sum += int(sel.sum(dtype=np.int64))
-        self.omega_sumsq += int((sel.astype(np.int64) ** 2).sum())
+    def add(self, mu: np.ndarray, om: np.ndarray) -> None:
+        """Count a stretch of consecutive integers with these mu and omega."""
         self.mertens += int(mu.sum(dtype=np.int64))
-        self.class_counts += np.bincount(sel, minlength=_MAX_OMEGA)
-        for p in self.div_counts:
-            self.div_counts[p] += int(mask[(-lo) % p::p].sum())
+        self.class_counts += np.bincount(om[mu != 0], minlength=_MAX_OMEGA)
 
-    def snapshot(self, sqf_n: int) -> SqfSnapshot:
-        return SqfSnapshot(self.count, sqf_n, self.prime_count, self.omega_sum,
-                           self.omega_sumsq, self.mertens, self.class_counts.copy(),
-                           dict(self.div_counts))
+    def snapshot(self, n: int, sqf_n: int) -> SqfSnapshot:
+        cc, k = self.class_counts, np.arange(_MAX_OMEGA, dtype=np.int64)
+        return SqfSnapshot(n, sqf_n, int(cc[1]), int(k @ cc), int(k * k @ cc),
+                           self.mertens, cc.copy())
 
 
-def scan_squarefree(n: int, checkpoints: tuple = (), div_primes: tuple = ()) -> list[SqfSnapshot]:
+def scan_squarefree(n: int, checkpoints: tuple = ()) -> list[SqfSnapshot]:
     """One streamed pass over the first n square-free numbers.
 
     Returns snapshots at each requested checkpoint ordinal plus the final
@@ -129,20 +118,20 @@ def scan_squarefree(n: int, checkpoints: tuple = (), div_primes: tuple = ()) -> 
     marks = sorted(set(int(c) for c in checkpoints) | {n})
     if marks[0] < 1 or marks[-1] > n:
         raise ValueError(f"checkpoints must lie in [1, {n}]")
-    tally = _Tally(div_primes)
+    tally = _Tally()
     snapshots: list[SqfSnapshot] = []
     next_mark = 0
     for seg_lo, _, mu, om in iter_mobius(1, nth_squarefree(n) + 1, want_omega=True):
-        seen, cut = tally.count, 0
+        seen, cut = int(tally.class_counts.sum()), 0
         sqf = np.flatnonzero(mu)
         # the c-th square-free number overall is the (c - seen)-th of this segment
         while next_mark < len(marks) and marks[next_mark] - seen <= sqf.size:
             end = int(sqf[marks[next_mark] - seen - 1]) + 1
-            tally.add(seg_lo + cut, mu[cut:end], om[cut:end])
-            snapshots.append(tally.snapshot(seg_lo + end - 1))
+            tally.add(mu[cut:end], om[cut:end])
+            snapshots.append(tally.snapshot(marks[next_mark], seg_lo + end - 1))
             cut = end
             next_mark += 1
-        tally.add(seg_lo + cut, mu[cut:], om[cut:])
+        tally.add(mu[cut:], om[cut:])
     return snapshots
 
 
@@ -166,10 +155,7 @@ def pi_sqf_theoretical(n: int) -> float:
 def divisor_probability_check(p: int, n: int) -> tuple[float, float]:
     """(empirical, theoretical) probability that a square-free number is
     divisible by the prime p; theoretical value is 1/(p+1)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    snap = scan_squarefree(n, div_primes=(p,))[-1]
-    return snap.div_counts[p] / n, 1.0 / (p + 1)
+    return divisor_table((p,), n)[0][1:3]
 
 
 @dataclass(frozen=True)
@@ -335,7 +321,7 @@ def omega_table(ordinals) -> list[tuple]:
 
 
 def divisor_table(primes, n: int) -> list[tuple]:
-    snap = scan_squarefree(n, div_primes=tuple(primes))[-1]
-    return [(p, snap.div_counts[p] / n, 1.0 / (p + 1),
-             abs(snap.div_counts[p] / n - 1.0 / (p + 1)) * (p + 1))
-            for p in primes]
+    """Rows (p, empirical, theoretical, relative_error); p must be prime."""
+    x = nth_squarefree(n)
+    shares = [(p, squarefree_multiples(p, x) / n, 1.0 / (p + 1)) for p in primes]
+    return [(p, emp, theo, abs(emp - theo) * (p + 1)) for p, emp, theo in shares]

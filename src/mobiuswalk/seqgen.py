@@ -54,7 +54,7 @@ def base_primes(limit: int) -> np.ndarray:
         cached = np.nonzero(sieve)[0].astype(np.int64)
         _prime_cache["primes"] = cached
         _prime_cache["limit"] = limit
-    return cached[cached <= limit]
+    return cached[:np.searchsorted(cached, limit, side="right")].copy()
 
 
 def is_prime(n: int) -> bool:
@@ -141,6 +141,16 @@ def squarefree_count(x: int) -> int:
     mu = mobius_range(1, r + 1).values.astype(np.int64)
     d = np.arange(1, r + 1, dtype=np.int64)
     return int(np.sum(mu * (x // (d * d))))
+
+
+def squarefree_multiples(p: int, x: int) -> int:
+    """Exact number of square-free m <= x divisible by the prime p: they are
+    p*k, k <= x/p square-free and prime to p, so the count is Q(x // p) less
+    the same count at x // p, i.e. sum_{j>=1} (-1)^(j-1) Q(x // p^j)."""
+    if x < 1 or not is_prime(p):
+        raise ValueError(f"need x >= 1 and p prime, got x={x}, p={p}")
+    y = x // p
+    return squarefree_count(y) - squarefree_multiples(p, y) if y else 0
 
 
 def nth_squarefree(n: int) -> int:

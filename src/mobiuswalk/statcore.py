@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 DEFAULT_ALPHA = 0.01
+UNIFORMITY_MIN_SIZE = 50  # fewest P-values the ten-bin uniformity test takes
 
 _GAMMA_EPS = 1e-15
 _GAMMA_MAX_ITER = 10_000
@@ -175,15 +176,15 @@ class UniformityReport:
     counts: tuple
 
 
-def pvalue_uniformity(pvalues, min_size: int = 50) -> UniformityReport:
+def pvalue_uniformity(pvalues) -> UniformityReport:
     """Ten-bin chi-square test of P-value uniformity on [0,1).
 
     Uniform verdict uses the customary threshold P-bar >= 0.0001.
     """
     values = [float(p) for p in pvalues]
     ss = len(values)
-    if ss < min_size:
-        raise ValueError(f"need at least {min_size} P-values, got {ss}")
+    if ss < UNIFORMITY_MIN_SIZE:
+        raise ValueError(f"need at least {UNIFORMITY_MIN_SIZE} P-values, got {ss}")
     counts = [0] * 10
     for v in values:
         counts[min(int(v * 10.0), 9)] += 1

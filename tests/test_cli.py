@@ -120,4 +120,9 @@ def test_internal_errors_exit_2(tmp_path, capsys):
                     "--blocks", "2", "--block-len", "1000",
                     "--out", str(tmp_path / "rep.jsonl")]) == 2
         assert "empty test selection" in capsys.readouterr().err
+    # blocks shorter than every selected test leave no P-value to judge
+    assert run(["battery", "--seq", str(seq_path), "--tests", "monobit,maurer",
+                "--blocks", "4", "--block-len", "50",
+                "--out", str(tmp_path / "rep.jsonl")]) == 2
+    assert "no selected test ran" in capsys.readouterr().err
     assert not (tmp_path / "rep.jsonl").exists()

@@ -73,12 +73,12 @@ def test_divisor_probability():
     assert theo == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         numth.divisor_probability_check(4, 100)
+    with pytest.raises(ValueError):
+        numth.divisor_table((4,), 1000)
 
 
 def test_divisor_probability_converges():
-    snap = numth.scan_squarefree(10 ** 6, div_primes=(2, 3, 5, 7, 11, 13, 17, 19))[-1]
-    for p in (2, 3, 5, 7, 11, 13, 17, 19):
-        emp = snap.div_counts[p] / 10 ** 6
+    for p, emp, _, _ in numth.divisor_table((2, 3, 5, 7, 11, 13, 17, 19), 10 ** 6):
         assert abs(emp - 1 / (p + 1)) < 3 / math.sqrt(10 ** 6)
 
 
@@ -93,7 +93,7 @@ def test_scan_at_segment_edge():
     q_edge = seqgen.squarefree_count(edge)
     marks = (q_edge - 1, q_edge, q_edge + 1)
     primes = (2, 3, 7, 65537)
-    snaps = numth.scan_squarefree(q_edge + 1, marks, primes)
+    snaps = numth.scan_squarefree(q_edge + 1, marks)
     assert [s.n for s in snaps] == list(marks)
     assert snaps[1].sqf_n <= edge < snaps[2].sqf_n
     sqf = seqgen.mobius_range(1, snaps[-1].sqf_n + 1).values != 0
@@ -101,10 +101,12 @@ def test_scan_at_segment_edge():
         assert snap.sqf_n == seqgen.nth_squarefree(c)
         assert snap.mertens == mertens.mertens_restricted(c)
         assert snap.prime_count == seqgen.base_primes(snap.sqf_n).size
-        assert snap.div_counts == {p: int(sqf[p - 1:snap.sqf_n:p].sum()) for p in primes}
-        assert _same_snapshot(snap, numth.scan_squarefree(c, div_primes=primes)[-1])
+        assert int(snap.class_counts.sum()) == snap.n
+        for p in primes:
+            assert seqgen.squarefree_multiples(p, snap.sqf_n) == int(sqf[p - 1:snap.sqf_n:p].sum())
+        assert _same_snapshot(snap, numth.scan_squarefree(c)[-1])
     # the cut at q_edge leaves no square-free number to carry over; one below does
-    carried = numth.scan_squarefree(q_edge + 1, (q_edge - 1,), primes)[-1]
+    carried = numth.scan_squarefree(q_edge + 1, (q_edge - 1,))[-1]
     assert _same_snapshot(carried, snaps[-1])
 
 

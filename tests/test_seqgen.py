@@ -71,6 +71,23 @@ def test_squarefree_density_converges():
         assert abs(dens - 6 / np.pi ** 2) < 2 / np.sqrt(x)
 
 
+def test_squarefree_multiples_against_strided_count():
+    primes = (2, 3, 5, 7, 97)
+    edge = seqgen.DEFAULT_SEGMENT
+    sqf = seqgen.mobius_range(1, 10 ** 7 + 1).values != 0  # sqf[m - 1]: m square-free
+    # every x <= 5000, through running totals of the multiples of p
+    for p in primes:
+        running = np.cumsum(sqf[:5000] & (np.arange(1, 5001) % p == 0))
+        assert [seqgen.squarefree_multiples(p, x) for x in range(1, 5001)] == running.tolist()
+    xs = [int(x) for x in np.random.default_rng(6).integers(5001, 10 ** 7 + 1, size=20)]
+    for x in xs + [edge - 1, edge, edge + 1]:
+        for p in primes:
+            assert seqgen.squarefree_multiples(p, x) == int(sqf[p - 1:x:p].sum()), (p, x)
+    for p, x in ((4, 1000), (1, 1000), (0, 1000), (2, 0)):
+        with pytest.raises(ValueError):
+            seqgen.squarefree_multiples(p, x)
+
+
 def test_nth_squarefree():
     # first entries of the sequence: 1, 2, 3, 5, 6, 7, 10, 11, 13
     firsts = [seqgen.nth_squarefree(n) for n in range(1, 10)]
