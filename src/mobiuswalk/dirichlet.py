@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqgen import is_prime, iter_mobius
+from .seqgen import is_prime, iter_mobius, squarefree_terms
 
 _AXIOM_TOL = 1e-12
+_CLASS_BLOCK = 1 << 20  # entries of the (class, d) table built at once
 
 
 class UnsupportedModulusError(ValueError):
@@ -188,14 +189,30 @@ def squarefree_in_progression(q: int, r: int, x_max: int) -> tuple[int, float]:
 
 
 def _progression_counts(q: int, x_max: int) -> np.ndarray:
-    """Square-free counts in [2, x_max] for every residue class mod q."""
+    """Square-free counts in [2, x_max] for every residue class mod q.
+
+    The square-free m = r (mod q) number sum_d mu(d) #{k <= x_max // d^2 :
+    k d^2 = r (mod q)}.  For q | d every k d^2 falls in class 0.  Otherwise
+    k runs over the one class s = r / d^2 (mod q), taken in 1..q; writing
+    x_max // d^2 = a q + b, that class holds a + [s <= b] values of k.
+    """
     if not is_prime(q):
         raise UnsupportedModulusError(f"modulus {q} is not prime")
     if x_max < q:
         raise ValueError(f"x_max must be >= q, got {x_max}")
-    counts = np.zeros(q, dtype=np.int64)
-    for seg_lo, _, mu in iter_mobius(2, x_max + 1):
-        counts += _residue_sums(seg_lo, mu != 0, q)
+    d, mu, quotients = squarefree_terms(x_max)
+    unit = (d % q != 0) & (mu != 0)
+    residues, index = np.unique(d[unit] % q, return_inverse=True)
+    inverse = np.array([pow(c, -2, q) for c in residues.tolist()], dtype=np.int64)[index]
+    mu_u = mu[unit]
+    a, b = np.divmod(quotients[unit], q)
+    counts = np.full(q, mu_u @ a, dtype=np.int64)
+    rows = max(1, _CLASS_BLOCK // max(1, mu_u.size))  # classes per (r, d) block
+    for lo in range(0, q, rows):
+        r = np.arange(lo, min(q, lo + rows), dtype=np.int64)[:, None]
+        counts[lo:lo + rows] += ((r * inverse - 1) % q < b) @ mu_u
+    counts[0] += mu[~unit] @ quotients[~unit]
+    counts[1] -= 1  # the unit
     return counts
 
 
@@ -206,7 +223,8 @@ def _density_estimate(q: int, r: int, x_max: int) -> float:
 
 
 def progression_table(q: int, x_max: int) -> list[tuple]:
-    """Rows (r, count, estimate, relative_error) in one streamed pass."""
+    """Rows (r, count, estimate, relative_error), with every class count
+    read from one sum over d <= sqrt(x_max)."""
     counts = _progression_counts(q, x_max)
     rows = []
     for r, count in enumerate(counts.tolist()):

@@ -1,9 +1,11 @@
 """Number-theory oracles along the square-free sequence.
 
-Everything here is exact counting over a streamed sieve plus the handful
-of analytic estimates they are compared against: the prime counting
-integral, the log log law for the mean number of prime divisors, and the
-shifted Poisson model for the factor-count classes.
+Everything here is an exact count plus the handful of analytic estimates
+it is compared against: the prime counting integral, the log log law for
+the mean number of prime divisors, and the shifted Poisson model for the
+factor-count classes.  Prime counts are pi(sqf_n) and divisor shares come
+from square-free counts, both sublinear in sqf_n; only the omega
+statistics stream the sieve over every integer up to sqf_n.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy.integrate import quad
 from scipy.special import expi, zeta
 
 from .seqgen import (PI2_OVER_6, first_primes, iter_mobius, mobius_range,
-                     nth_squarefree, squarefree_multiples)
+                     nth_squarefree, prime_count, squarefree_multiples)
 from .statcore import PValue, chi2_pvalue
 
 _SERIES_TOL = 1e-12
@@ -144,8 +146,9 @@ def li_squarefree(x: float) -> float:
 
 
 def pi_sqf_exact(n: int) -> int:
-    """Exact number of primes among the first n square-free numbers."""
-    return scan_squarefree(n)[-1].prime_count
+    """Exact number of primes among the first n square-free numbers: every
+    prime is square-free, so this is pi(sqf_n)."""
+    return prime_count(nth_squarefree(n))
 
 
 def pi_sqf_theoretical(n: int) -> float:
@@ -298,14 +301,17 @@ def erdos_kac_normalize(n: int, omega_value: int) -> float:
 
 
 def pi_table(ordinals) -> list[tuple]:
-    """Rows (n, observed, theoretical, relative_error) for the prime count."""
-    ordinals = sorted(int(v) for v in ordinals)
-    snaps = scan_squarefree(ordinals[-1], checkpoints=tuple(ordinals))
+    """Rows (n, observed, theoretical, relative_error) for the prime count,
+    one per distinct ordinal, in increasing order."""
     rows = []
-    for snap in snaps:
-        th = li_squarefree(snap.sqf_n)
-        rows.append((snap.n, snap.prime_count, th,
-                     abs(th - snap.prime_count) / snap.prime_count))
+    for n in sorted(set(int(v) for v in ordinals)):
+        x = nth_squarefree(n)
+        observed = prime_count(x)
+        if observed == 0:
+            raise ValueError(f"ordinal {n}: no prime among the first {n} square-free "
+                             "numbers, so the relative error is undefined")
+        th = li_squarefree(x)
+        rows.append((n, observed, th, abs(th - observed) / observed))
     return rows
 
 

@@ -70,6 +70,36 @@ def first_primes(k: int) -> np.ndarray:
     return primes[:k]
 
 
+def prime_count(x: int) -> int:
+    """pi(x): exact number of primes <= x, by the Lucy/Legendre recursion.
+
+    Once the primes below p are sieved out, S(v) counts the m in [2, v]
+    that are prime or free of prime factors below p.  It starts at v - 1;
+    sieving by p takes away the p j with j in (p - 1, v // p] still counted,
+    S(v // p) - S(p - 1) of them, from every S(v) with v >= p^2, and after
+    the primes up to sqrt(x) S(x) = pi(x).  Only the values v = x // k are
+    ever needed: those up to sqrt(x) are kept by value, the rest by k.
+    O(x^(3/4)) time, O(sqrt(x)) memory.
+    """
+    if x < 2:
+        return 0
+    r = isqrt(x)
+    k = np.arange(r + 1, dtype=np.int64)
+    small = k - 1  # small[v] = S(v)
+    large = np.zeros(r + 1, dtype=np.int64)
+    large[1:] = x // k[1:] - 1  # large[k] = S(x // k)
+    for p in base_primes(r).tolist():
+        below = int(small[p - 1])
+        top = min(r, x // (p * p))
+        # every right side reads S before the update by p: large before
+        # small, and each right side is evaluated before it is written
+        mid = min(top, r // p)  # x // k // p = x // (k p) is large[k p] up to mid
+        large[1:mid + 1] -= large[p:mid * p + 1:p] - below
+        large[mid + 1:top + 1] -= small[x // (k[mid + 1:top + 1] * p)] - below
+        small[p * p:] -= small[k[p * p:] // p] - below
+    return int(large[1])
+
+
 @dataclass(frozen=True)
 class MobiusWindow:
     """Exact mu values on [lo, hi): values[m - lo] = mu(m)."""
@@ -133,14 +163,22 @@ def mobius_range(lo: int, hi: int) -> MobiusWindow:
     return MobiusWindow(lo, hi, np.concatenate(chunks))
 
 
-def squarefree_count(x: int) -> int:
-    """Q(x): exact number of square-free integers in [1, x]."""
+def squarefree_terms(x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, mu(d), x // d^2) for d = 1..isqrt(x), the terms of every
+    square-free count: each m <= x is k*d^2 for d^2 | m, and mu(d) summed
+    over those d is 1 exactly when m is square-free."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     r = isqrt(x)
     mu = mobius_range(1, r + 1).values.astype(np.int64)
     d = np.arange(1, r + 1, dtype=np.int64)
-    return int(np.sum(mu * (x // (d * d))))
+    return d, mu, x // (d * d)
+
+
+def squarefree_count(x: int) -> int:
+    """Q(x): exact number of square-free integers in [1, x]."""
+    _, mu, quotients = squarefree_terms(x)
+    return int(np.sum(mu * quotients))
 
 
 def squarefree_multiples(p: int, x: int) -> int:

@@ -112,6 +112,11 @@ def test_internal_errors_exit_2(tmp_path, capsys):
     assert run(["tables", "--which", "residue", "--q", "11", "--x", "11",
                 "--out", str(tmp_path / "res.csv")]) == 2
     assert "residue class" in capsys.readouterr().err
+    # sqf_1 = 1 is no prime, so its relative error has no denominator
+    assert run(["tables", "--which", "pi", "--n", "1",
+                "--out", str(tmp_path / "pi.csv")]) == 2
+    assert "ordinal 1" in capsys.readouterr().err
+    assert not (tmp_path / "pi.csv").exists()
     # an empty selection runs no test, so it must not read as a pass
     seq_path = tmp_path / "s.msf"
     assert run(["gen", "--count", "2000", "--out", str(seq_path)]) == 0

@@ -208,6 +208,9 @@ def test_tables():
     for _, obs, theo, err in rows:
         assert err == pytest.approx(abs(theo - obs) / obs)
         assert err < 0.02
+    assert [row[0] for row in numth.pi_table([5, 5, 3])] == [3, 5]
+    with pytest.raises(ValueError, match="ordinal 1"):
+        numth.pi_table([1, 10])
     drows = numth.divisor_table((2, 3), 10 ** 4)
     assert drows[0][2] == pytest.approx(1 / 3)
 
