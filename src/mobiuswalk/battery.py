@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .mertens import Ensemble
 from .seqgen import BitSequence
 from .statcore import (DEFAULT_ALPHA, UNIFORMITY_MIN_SIZE, PValue, chi2_pvalue,
-                       erfc_pvalue, incomplete_gamma_q, proportion_check,
+                       chi2_test, erfc_pvalue, proportion_check,
                        pvalue_uniformity)
 
 LONGEST_RUN_BITS = 6272
@@ -73,6 +73,12 @@ def _require(bits: np.ndarray, n_min: int, test: str) -> None:
         raise ValueError(f"{test} needs at least {n_min} bits, got {bits.size}")
 
 
+def _word_codes(bits: np.ndarray, m: int, n_words: int) -> np.ndarray:
+    """Values of the first n_words non-overlapping m-bit words, first bit high."""
+    words = bits[:n_words * m].reshape(n_words, m)
+    return words.dot(1 << np.arange(m - 1, -1, -1, dtype=np.int64))
+
+
 def monobit(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Balance of ones and zeros: v = |sum of +-1| / sqrt(n)."""
     bits = _as_bits(block)
@@ -91,9 +97,7 @@ def serial_frequency(block, m: int, alpha: float = DEFAULT_ALPHA) -> TestResult:
     bits = _as_bits(block)
     _require(bits, 5 * (2 ** m) * m, f"serial m={m}")
     n_tuples = bits.size // m
-    words = bits[:n_tuples * m].reshape(n_tuples, m)
-    vals = words.dot(1 << np.arange(m - 1, -1, -1, dtype=np.int64))
-    counts = np.bincount(vals, minlength=2 ** m)
+    counts = np.bincount(_word_codes(bits, m, n_tuples), minlength=2 ** m)
     expected = n_tuples / 2 ** m
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
     dof = 2 ** m - 1
@@ -134,11 +138,9 @@ def longest_run_of_ones(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
     for j in range(n_sub):
         run = _longest_one_run(bits[j * 128:(j + 1) * 128])
         counts[min(max(run - 4, 0), 5)] += 1
-    expected = n_sub * np.asarray(LONGEST_RUN_PROBS)
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    chi2, p = chi2_test(counts, n_sub * np.asarray(LONGEST_RUN_PROBS), 5, alpha)
     return TestResult("longest_run", {"n": LONGEST_RUN_BITS, "M": 128, "K": 5},
-                      chi2, PValue(incomplete_gamma_q(2.5, chi2 / 2.0), alpha),
-                      aux={"counts": counts.tolist()})
+                      chi2, p, aux={"counts": counts.tolist()})
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -186,26 +188,17 @@ def matrix_rank(block, h: int = 32, alpha: float = DEFAULT_ALPHA) -> TestResult:
     n_mats = bits.size // (h * h)
     mats = bits[:n_mats * h * h].reshape(n_mats, h, h)
     packed = np.packbits(mats, axis=2, bitorder="little")
-    width = packed.shape[2]
-    as_int = packed.astype(np.uint64)
-    weights = (np.uint64(1) << (np.uint64(8) * np.arange(width, dtype=np.uint64)))
-    rows_int = (as_int * weights).sum(axis=2).astype(np.uint64)
-    c_full = c_one = 0
-    for i in range(n_mats):
-        r = gf2_rank(rows_int[i].tolist())
-        if r == h:
-            c_full += 1
-        elif r == h - 1:
-            c_one += 1
+    # each row as one little-endian uint64 whose bit j is column j
+    padded = np.pad(packed, ((0, 0), (0, 0), (0, 8 - packed.shape[2])))
+    rows_int = padded.view("<u8")[..., 0]
+    ranks = [gf2_rank(rows) for rows in rows_int.tolist()]
+    c_full, c_one = ranks.count(h), ranks.count(h - 1)
     p_full = matrix_rank_probability(h, h)
     p_one = matrix_rank_probability(h, h - 1)
-    p_rest = 1.0 - p_full - p_one
     c_rest = n_mats - c_full - c_one
-    chi2 = ((c_full - n_mats * p_full) ** 2 / (n_mats * p_full)
-            + (c_one - n_mats * p_one) ** 2 / (n_mats * p_one)
-            + (c_rest - n_mats * p_rest) ** 2 / (n_mats * p_rest))
-    return TestResult("matrix_rank", {"H": h, "matrices": n_mats}, chi2,
-                      PValue(incomplete_gamma_q(1.0, chi2 / 2.0), alpha),
+    chi2, p = chi2_test([c_full, c_one, c_rest],
+                        n_mats * np.array([p_full, p_one, 1.0 - p_full - p_one]), 2, alpha)
+    return TestResult("matrix_rank", {"H": h, "matrices": n_mats}, chi2, p,
                       aux={"full": c_full, "minus_one": c_one, "rest": c_rest})
 
 
@@ -263,7 +256,7 @@ def nonoverlapping_template(block, template=DEFAULT_TEMPLATE, n_sub: int = 80,
     chi2 = float(np.sum((w - mean) ** 2 / var))
     return TestResult("template", {"m": m, "N": n_sub, "L": sub_len,
                                    "B": "".join(map(str, template.tolist()))},
-                      chi2, PValue(incomplete_gamma_q(n_sub / 2.0, chi2 / 2.0), alpha),
+                      chi2, chi2_pvalue(chi2, n_sub, alpha),
                       aux={"W": w.tolist(), "mean": mean, "var": var})
 
 
@@ -276,8 +269,7 @@ def maurer_statistic(block, m_bits: int, q_init: int, k_test: int) -> tuple[floa
     bits = _as_bits(block)
     n_blocks = q_init + k_test
     _require(bits, m_bits * n_blocks, "maurer")
-    words = bits[:m_bits * n_blocks].reshape(n_blocks, m_bits)
-    vals = words.dot(1 << np.arange(m_bits - 1, -1, -1, dtype=np.int64))
+    vals = _word_codes(bits, m_bits, n_blocks)
     total = 0.0
     table = [0] * (2 ** m_bits)
     for v in range(2 ** m_bits):
@@ -328,7 +320,7 @@ def approximate_entropy(block, m: int = 4, alpha: float = DEFAULT_ALPHA) -> Test
     phi_m1 = entropy_phi(bits, m + 1)
     chi2 = 2.0 * n * (log(2.0) - (phi_m - phi_m1))
     return TestResult("entropy", {"m": m, "n": n}, chi2,
-                      PValue(incomplete_gamma_q(2.0 ** (m - 1), chi2 / 2.0), alpha),
+                      chi2_pvalue(chi2, 2 ** m, alpha),
                       aux={"phi_m": phi_m, "phi_m1": phi_m1,
                            "apen": phi_m - phi_m1})
 
@@ -402,12 +394,9 @@ def random_excursions(block, alpha: float = DEFAULT_ALPHA) -> list[TestResult]:
     results = []
     for x in EXCURSION_STATES:
         nu = excursion_cycle_counts(padded, x)
-        expected = j * excursion_state_probs(x)
-        chi2 = float(np.sum((nu - expected) ** 2 / expected))
-        results.append(TestResult(
-            f"excursions[{x:+d}]", {"state": x, "J": j}, chi2,
-            PValue(incomplete_gamma_q(2.5, chi2 / 2.0), alpha),
-            aux={"nu": nu.tolist()}))
+        chi2, p = chi2_test(nu, j * excursion_state_probs(x), 5, alpha)
+        results.append(TestResult(f"excursions[{x:+d}]", {"state": x, "J": j},
+                                  chi2, p, aux={"nu": nu.tolist()}))
     return results
 
 
@@ -506,11 +495,6 @@ class BatteryReport:
     def all_proportions_inside(self) -> bool:
         return all(rep.all_inside for rep in self.proportions.values())
 
-    @property
-    def all_uniform(self) -> bool:
-        return all(rep.uniform for rep in self.uniformity.values()
-                   if rep is not None)
-
     def write_jsonl(self, fh) -> None:
         for start, length, res in self.block_results:
             row = {"test": res.test_name, "params": res.params,
@@ -525,8 +509,8 @@ class BatteryReport:
         for name, prop in sorted(self.proportions.items()):
             uni = self.uniformity.get(name)
             summary[name] = {
-                "count": len(prop.proportions) * prop.batch_size,
-                "proportion": prop.proportions[0] if prop.proportions else None,
+                "count": prop.n,
+                "proportion": prop.proportion,
                 "interval": [prop.interval.lo, prop.interval.hi],
                 "inside": prop.all_inside,
                 "uniformity_pbar": None if uni is None else uni.pbar,

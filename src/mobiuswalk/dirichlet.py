@@ -16,7 +16,7 @@ import numpy as np
 from .seqgen import is_prime, iter_mobius, squarefree_terms
 
 _AXIOM_TOL = 1e-12
-_CLASS_BLOCK = 1 << 20  # entries of the (class, d) table built at once
+_CLASS_BLOCK = 1 << 20  # class entries scattered at once
 
 
 class UnsupportedModulusError(ValueError):
@@ -192,9 +192,10 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
     """Square-free counts in [2, x_max] for every residue class mod q.
 
     The square-free m = r (mod q) number sum_d mu(d) #{k <= x_max // d^2 :
-    k d^2 = r (mod q)}.  For q | d every k d^2 falls in class 0.  Otherwise
-    k runs over the one class s = r / d^2 (mod q), taken in 1..q; writing
-    x_max // d^2 = a q + b, that class holds a + [s <= b] values of k.
+    k d^2 = r (mod q)}.  For q | d every k d^2 falls in class 0.  Otherwise,
+    writing x_max // d^2 = a q + b, the first a q values of k cover every
+    class a times, and the last b add mu(d) to the classes j d^2, j = 1..b:
+    about 2 sqrt(x_max q) scattered entries in all.
     """
     if not is_prime(q):
         raise UnsupportedModulusError(f"modulus {q} is not prime")
@@ -202,17 +203,22 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
         raise ValueError(f"x_max must be >= q, got {x_max}")
     d, mu, quotients = squarefree_terms(x_max)
     unit = (d % q != 0) & (mu != 0)
-    residues, index = np.unique(d[unit] % q, return_inverse=True)
-    inverse = np.array([pow(c, -2, q) for c in residues.tolist()], dtype=np.int64)[index]
     mu_u = mu[unit]
     a, b = np.divmod(quotients[unit], q)
+    squares = d[unit] % q * (d[unit] % q) % q
     counts = np.full(q, mu_u @ a, dtype=np.int64)
-    rows = max(1, _CLASS_BLOCK // max(1, mu_u.size))  # classes per (r, d) block
-    for lo in range(0, q, rows):
-        r = np.arange(lo, min(q, lo + rows), dtype=np.int64)[:, None]
-        counts[lo:lo + rows] += ((r * inverse - 1) % q < b) @ mu_u
     counts[0] += mu[~unit] @ quotients[~unit]
     counts[1] -= 1  # the unit
+    ends = np.cumsum(b)
+    lo = 0
+    while lo < b.size:  # terms whose b add up to about _CLASS_BLOCK
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - b[lo] + _CLASS_BLOCK, "right")))
+        n = b[lo:hi]
+        j = np.arange(1, n.sum() + 1) - np.repeat(np.cumsum(n) - n, n)
+        classes = j * np.repeat(squares[lo:hi], n) % q
+        counts += np.bincount(classes, weights=np.repeat(mu_u[lo:hi], n),
+                              minlength=q).astype(np.int64)  # float sums of +-1 are exact
+        lo = hi
     return counts
 
 

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, zeta
 
 from .seqgen import BitSequence
-from .statcore import PValue, chi2_pvalue
+from .statcore import PValue, chi2_test
 
 ARCSINE_MOMENTS = (1 / 2, 3 / 8, 5 / 16, 35 / 128, 63 / 256, 231 / 1024)
 
@@ -58,6 +58,8 @@ def segment_extremes(seq: BitSequence, segment_start: int, T: int) -> SegmentExt
 def segment_extremes_batch(seq: BitSequence, start_ordinal: int, n_segments: int,
                            T: int, chunk: int = 2000) -> tuple[np.ndarray, np.ndarray]:
     """(t_min, t_max) arrays for n_segments back-to-back segments of length T."""
+    if T < 1 or n_segments < 1:
+        raise ValueError(f"need T >= 1 and n_segments >= 1, got T={T}, n_segments={n_segments}")
     t_min = np.empty(n_segments, dtype=np.int64)
     t_max = np.empty(n_segments, dtype=np.int64)
     for i in range(0, n_segments, chunk):
@@ -168,6 +170,17 @@ class FitReport:
     n_samples: int
 
 
+def _binned_fit(obs: np.ndarray, probs: np.ndarray, sample_moments: tuple,
+                reference_moments: tuple) -> FitReport:
+    # Pearson test over the bins that expect at least 5 of the samples
+    n = int(obs.sum())
+    expected = probs * n
+    keep = expected >= 5.0
+    dof = int(keep.sum()) - 1
+    chi2, p = chi2_test(obs[keep], expected[keep], dof)
+    return FitReport(chi2, dof, p, sample_moments, reference_moments, n)
+
+
 def arcsine_compare(samples, nbins: int = 50, T: int | None = None,
                     min_samples: int = 1000) -> FitReport:
     """Chi-square of t_min/T samples against the arcsine law.
@@ -192,13 +205,8 @@ def arcsine_compare(samples, nbins: int = 50, T: int | None = None,
         probs = np.bincount(idx, weights=pmf, minlength=nbins)
     obs = np.bincount(np.clip((x * nbins).astype(np.int64), 0, nbins - 1),
                       minlength=nbins)
-    expected = probs * x.size
-    keep = expected >= 5.0
-    chi2 = float(np.sum((obs[keep] - expected[keep]) ** 2 / expected[keep]))
-    dof = int(keep.sum()) - 1
-    sample_moments = tuple(float(np.mean(x ** j)) for j in range(1, 7))
-    return FitReport(chi2, dof, chi2_pvalue(chi2, dof),
-                     sample_moments, ARCSINE_MOMENTS, int(x.size))
+    return _binned_fit(obs, probs, tuple(float(np.mean(x ** j)) for j in range(1, 7)),
+                       ARCSINE_MOMENTS)
 
 
 def tau_compare(samples, nbins: int = 50, max_order: int = 10,
@@ -211,16 +219,10 @@ def tau_compare(samples, nbins: int = 50, max_order: int = 10,
         raise ValueError("samples must lie in [-1, 1]")
     probs = _mori_bin_probs(nbins)
     idx = np.clip(((x + 1.0) / 2.0 * nbins).astype(np.int64), 0, nbins - 1)
-    obs = np.bincount(idx, minlength=nbins)
-    expected = probs * x.size
-    keep = expected >= 5.0
-    chi2 = float(np.sum((obs[keep] - expected[keep]) ** 2 / expected[keep]))
-    dof = int(keep.sum()) - 1
     ax = np.abs(x)
-    sample_moments = tuple(float(np.mean(ax ** j)) for j in range(1, max_order + 1))
-    reference = tuple(v for _, v in tau_moment_table(max_order))
-    return FitReport(chi2, dof, chi2_pvalue(chi2, dof),
-                     sample_moments, reference, int(x.size))
+    return _binned_fit(np.bincount(idx, minlength=nbins), probs,
+                       tuple(float(np.mean(ax ** j)) for j in range(1, max_order + 1)),
+                       tuple(v for _, v in tau_moment_table(max_order)))
 
 
 def histogram_rows(samples, nbins: int, domain: tuple[float, float],

@@ -287,6 +287,7 @@ def poisson_fit(cc: ClassCounts, lam: float) -> PoissonFit:
             exp.append(e)
     if not ks:
         raise ValueError("all expected class counts below 5; fit is degenerate")
+    # not statcore.chi2_test: numpy's pairwise sum of 8+ bins moves the last bit
     chi2 = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
     dof = max(1, len(ks) - 1)
     return PoissonFit(chi2, dof, chi2_pvalue(chi2, dof), tuple(ks), tuple(obs), tuple(exp))
@@ -321,6 +322,8 @@ def omega_table(ordinals) -> list[tuple]:
     rows = []
     for snap in snaps:
         mean = snap.omega_sum / snap.n
+        if mean == 0:
+            raise ValueError(f"ordinal {snap.n}: mean omega 0, so the relative error is undefined")
         th = omega_mean_theoretical(snap.n)
         rows.append((snap.n, mean, th, abs(th - mean) / mean))
     return rows

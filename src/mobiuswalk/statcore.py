@@ -1,4 +1,5 @@
-"""Shared P-value machinery: chi-square tails, erfc, proportions, uniformity.
+"""Shared P-value machinery: Pearson tests, chi-square and erfc tails,
+pass proportions, uniformity.
 
 Every randomness test in the battery reduces its statistic to a P-value
 through one of the functions here.  The incomplete gamma function is
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 DEFAULT_ALPHA = 0.01
 UNIFORMITY_MIN_SIZE = 50  # fewest P-values the ten-bin uniformity test takes
@@ -121,6 +124,15 @@ def chi2_pvalue(chi2: float, dof: int, alpha: float = DEFAULT_ALPHA) -> PValue:
     return PValue(incomplete_gamma_q(dof / 2.0, chi2 / 2.0), alpha)
 
 
+def chi2_test(observed, expected, dof: int,
+              alpha: float = DEFAULT_ALPHA) -> tuple[float, PValue]:
+    """Pearson statistic sum (o - e)^2 / e over bins, with its tail on dof."""
+    o = np.asarray(observed, dtype=np.float64)
+    e = np.asarray(expected, dtype=np.float64)
+    chi2 = float(np.sum((o - e) ** 2 / e))
+    return chi2, chi2_pvalue(chi2, dof, alpha)
+
+
 def erfc_pvalue(v: float, alpha: float = DEFAULT_ALPHA) -> PValue:
     """Two-sided normal tail: erfc(v / sqrt(2)) for v = |statistic|."""
     if v < 0:
@@ -140,32 +152,21 @@ def proportion_interval(alpha: float, n: int) -> ProportionInterval:
 
 @dataclass(frozen=True)
 class ProportionReport:
-    alpha: float
-    batch_size: int
-    proportions: tuple
+    n: int
+    proportion: float  # fraction of the n P-values at or above alpha
     interval: ProportionInterval
-    flagged: tuple  # indices of batches outside the interval
 
     @property
     def all_inside(self) -> bool:
-        return not self.flagged
+        return self.interval.contains(self.proportion)
 
 
-def proportion_check(pvalues, alpha: float = DEFAULT_ALPHA, batch: int | None = None) -> ProportionReport:
-    """Partition P-values into batches and flag those whose pass rate falls
-    outside the confidence interval.  ``batch=None`` uses one batch of all."""
+def proportion_check(pvalues, alpha: float = DEFAULT_ALPHA) -> ProportionReport:
+    """Pass rate of the P-values against its confidence interval."""
     values = [float(p) for p in pvalues]
-    if batch is None:
-        batch = len(values)
-    if batch < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch}")
-    interval = proportion_interval(alpha, batch)
-    proportions = []
-    for i in range(0, len(values) - batch + 1, batch):
-        chunk = values[i:i + batch]
-        proportions.append(sum(1 for v in chunk if v >= alpha) / batch)
-    flagged = tuple(i for i, pr in enumerate(proportions) if not interval.contains(pr))
-    return ProportionReport(alpha, batch, tuple(proportions), interval, flagged)
+    n = len(values)
+    interval = proportion_interval(alpha, n)  # rejects an empty list
+    return ProportionReport(n, sum(v >= alpha for v in values) / n, interval)
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,23 @@
 
 Each hash was recorded on the code before the refactor that added it
 (the battery and residue hashes before the duplicate removal, the pi,
-omega and divisor table hashes before the divisor tally left the scan)
+omega and divisor table hashes before the divisor tally left the scan,
+the uniformity report hash before the chi-square tails were unified)
 and pins behaviour for later performance work: a faster path that changes
 any JSONL or CSV byte fails here.
 """
 
 import hashlib
 import io
+import json
 
 import pytest
 
 from mobiuswalk import battery, cli
 
 BATTERY_SHA256 = "f03eab5ae3baa1643761dd0a42e3004b09615a26241dadc3679dd94fabb43102"
+# 60 blocks reach UNIFORMITY_MIN_SIZE, so the summary carries uniformity_pbar
+UNIFORMITY_SHA256 = "f6f32cad5c86b686a8cf21f9ec9074995a5aad2faf1cee4628378566676288f3"
 RESIDUE_SHA256 = "76ef77551bcdac3b63e4449f3f277faf54a46d13ff6d753f2fc898240ed06067"
 # `tables --which <name> --n 1e6`
 TABLE_SHA256 = {
@@ -34,6 +38,17 @@ def test_battery_jsonl_bytes():
     report.write_jsonl(buf)
     assert '"skipped": "insufficient length"' in buf.getvalue()
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == BATTERY_SHA256
+
+
+def test_uniformity_report_bytes():
+    blocks = list(battery.fair_coin_blocks(2026, 60, 100_000))
+    assert len(blocks) >= battery.UNIFORMITY_MIN_SIZE
+    report = battery.run_battery_on_blocks(blocks, seed=7, workers=2)
+    buf = io.StringIO()
+    report.write_jsonl(buf)
+    summary = json.loads(buf.getvalue().splitlines()[-1])["summary"]
+    assert summary["monobit"]["uniformity_pbar"] is not None
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == UNIFORMITY_SHA256
 
 
 def test_residue_table_bytes(tmp_path):

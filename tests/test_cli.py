@@ -117,6 +117,11 @@ def test_internal_errors_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "pi.csv")]) == 2
     assert "ordinal 1" in capsys.readouterr().err
     assert not (tmp_path / "pi.csv").exists()
+    # sqf_1 = 1 has no prime factor, so the mean omega is 0
+    assert run(["tables", "--which", "omega", "--n", "1",
+                "--out", str(tmp_path / "omega.csv")]) == 2
+    assert "ordinal 1" in capsys.readouterr().err
+    assert not (tmp_path / "omega.csv").exists()
     # an empty selection runs no test, so it must not read as a pass
     seq_path = tmp_path / "s.msf"
     assert run(["gen", "--count", "2000", "--out", str(seq_path)]) == 0
@@ -125,6 +130,10 @@ def test_internal_errors_exit_2(tmp_path, capsys):
                     "--blocks", "2", "--block-len", "1000",
                     "--out", str(tmp_path / "rep.jsonl")]) == 2
         assert "empty test selection" in capsys.readouterr().err
+    # segments of no steps have no extremes to fit
+    for flag, value in (("--seg-len", "0"), ("--segments", "0")):
+        assert run(["extremes", "--seq", str(seq_path), flag, value]) == 2
+        assert "need T >= 1 and n_segments >= 1" in capsys.readouterr().err
     # blocks shorter than every selected test leave no P-value to judge
     assert run(["battery", "--seq", str(seq_path), "--tests", "monobit,maurer",
                 "--blocks", "4", "--block-len", "50",

@@ -16,6 +16,7 @@ from mobiuswalk import dirichlet, mertens, numth, seqgen
 
 EDGE = seqgen.DEFAULT_SEGMENT  # the last integer of the first sieve segment
 MODULI = (2, 3, 7, 11, 101)
+LARGE_Q = 100003  # above sqrt(x) here, so most terms reach fewer than q classes
 
 # pi(10^k) and M(10^k) for k = 1..10 (OEIS A006880, A084237)
 PUBLISHED_PI = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534,
@@ -71,8 +72,9 @@ def test_progression_counts_small_x():
 def test_progression_counts_random_and_edge():
     rng = np.random.default_rng(72)
     xs = [int(v) for v in rng.integers(10 ** 4, 10 ** 7, size=3)]
-    for x in xs + [EDGE - 1, EDGE, EDGE + 1]:
-        for q, want in linear_progression_counts(MODULI, x).items():
+    for x in xs + [EDGE - 1, EDGE, EDGE + 1, LARGE_Q, 2 * 10 ** 5]:
+        moduli = MODULI + ((LARGE_Q,) if x >= LARGE_Q else ())
+        for q, want in linear_progression_counts(moduli, x).items():
             got = dirichlet._progression_counts(q, x)
             assert np.array_equal(got, want), (q, x)
             assert int(got.sum()) == seqgen.squarefree_count(x) - 1

@@ -211,6 +211,8 @@ def test_tables():
     assert [row[0] for row in numth.pi_table([5, 5, 3])] == [3, 5]
     with pytest.raises(ValueError, match="ordinal 1"):
         numth.pi_table([1, 10])
+    with pytest.raises(ValueError, match="ordinal 1"):
+        numth.omega_table([1])
     drows = numth.divisor_table((2, 3), 10 ** 4)
     assert drows[0][2] == pytest.approx(1 / 3)
 

@@ -88,12 +88,25 @@ def test_proportion_interval():
 def test_proportion_check():
     all_pass = [1.0] * 50
     rep = statcore.proportion_check(all_pass, alpha=0.01)
-    assert rep.proportions == (1.0,)
+    assert rep.proportion == 1.0
     assert rep.all_inside
     mixed = [1.0] * 90 + [0.001] * 10
-    rep = statcore.proportion_check(mixed, alpha=0.01, batch=100)
-    assert rep.proportions == (0.9,)
+    rep = statcore.proportion_check(mixed, alpha=0.01)
+    assert rep.proportion == 0.9
     assert not rep.all_inside
+    with pytest.raises(ValueError):
+        statcore.proportion_check([])
+
+
+def test_chi2_test():
+    chi2, p = statcore.chi2_test([30, 10], [20.0, 20.0], 1)
+    assert chi2 == 10.0
+    assert p.value == statcore.chi2_pvalue(10.0, 1).value
+    assert not p.passed
+    chi2, p = statcore.chi2_test(np.array([5, 5, 5]), np.array([5.0, 5.0, 5.0]), 2)
+    assert chi2 == 0.0 and p.value == 1.0
+    with pytest.raises(ValueError):
+        statcore.chi2_test([1, 2], [1.5, 1.5], 0)
 
 
 def test_pvalue_uniformity():
