@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqgen import is_prime, iter_mobius, squarefree_terms
+from .seqgen import MAX_WINDOW, SegmentBudgetError, is_prime, iter_mobius, squarefree_terms
 
 _AXIOM_TOL = 1e-12
 _CLASS_BLOCK = 1 << 20  # class entries scattered at once
@@ -71,6 +71,9 @@ def character_table(q: int) -> CharacterTable:
         raise UnsupportedModulusError(
             f"modulus {q} is not prime; only prime moduli are supported")
     phi = q - 1
+    if phi * q > MAX_WINDOW:
+        raise SegmentBudgetError(
+            f"character table of {phi} x {q} values exceeds budget {MAX_WINDOW}")
     g = smallest_primitive_root(q)
     dlog = np.zeros(q, dtype=np.int64)
     acc = 1

@@ -4,10 +4,13 @@ The sequence under study lists mu at square-free numbers only, recoded as
 bits: bit = (mu + 1) / 2, so 0 stands for mu = -1 and 1 for mu = +1.
 Ordinals are 1-based with square-free number #1 equal to 1.
 
-Windows of exact mu values are produced by a classic segmented sieve:
-mark multiples of p^2 as zero, divide each entry by every prime p <=
-sqrt(hi) that divides it, and flip the sign once more when a single
-prime factor > sqrt(hi) is left over.
+Windows of exact mu values come from a segmented sieve without division:
+each entry counts the primes p <= sqrt(hi) dividing it and sums their
+floor(16 log2 p), and multiples of p^2 are marked.  A square-free entry
+whose log sum falls well short of its own log has one prime factor >
+sqrt(hi) left over (Helfgott, Math. Comp. 89 (2020)).  Primes that hit the
+window often are strided slices; the rest, and their squares, are
+scattered in one vectorised pass, so a narrow window is cheap.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ import numpy as np
 
 DEFAULT_SEGMENT = 1 << 22
 MAX_WINDOW = 1 << 26
+_MAX_HI = 1 << 63  # int64 positions; the packed sieve counters stay exact below it
+_STRIDE_HITS = 64
+_SCATTER_STEPS = (1 << 20) // _STRIDE_HITS  # so a block scatters at most 2^20 hits
 
 MAGIC = b"MSF1"
 FORMAT_VERSION = 1
@@ -112,36 +118,60 @@ class MobiusWindow:
         return self.hi - self.lo
 
 
+def _hits(lo: int, n: int, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, owner): lo + idx[i] in [lo, lo + n) is a multiple of steps[owner[i]]."""
+    start = (-lo) % steps
+    count = np.maximum((n - 1 - start) // steps + 1, 0)
+    owner = np.repeat(np.arange(steps.size), count)
+    j = np.arange(owner.size) - (np.cumsum(count) - count)[owner]
+    return start[owner] + j * steps[owner], owner
+
+
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray, want_omega: bool):
     n = hi - lo
-    mu = np.ones(n, dtype=np.int8)
-    omega = np.zeros(n, dtype=np.uint8) if want_omega else None
-    residue = np.arange(lo, hi, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = (-lo) % p
-        mu[start::p] = -mu[start::p]
-        residue[start::p] //= p
-        if want_omega:
-            omega[start::p] += 1
-        p2 = p * p
-        mu[(-lo) % p2::p2] = 0
-    leftover = residue > 1
-    mu[leftover] = -mu[leftover]
-    if want_omega:
-        omega[leftover] += 1
-    if lo == 0:
-        mu[0] = 0  # mu(0) undefined; keep the slot inert
-    return mu, omega
+    # the sieving primes: every p with p^2 < hi, and always 2 and 3
+    primes = primes[:np.searchsorted(primes, max(isqrt(hi - 1), 3), "right")]
+    squares = primes * primes
+    # acc[i] adds (floor(16 log2 p) << 4) | 1 for each sieving p | lo + i:
+    # the low 4 bits count those p, the high bits sum S of their logs
+    steps = ((16 * np.log2(primes)).astype(np.uint16) << 4) | 1
+    acc = np.zeros(n, dtype=np.uint16)
+    square = np.zeros(n, dtype=bool)
+    # a step that hits the window _STRIDE_HITS times or more is one strided
+    # slice; the others hit it at most that often and are scattered in blocks
+    cut = int(np.searchsorted(primes, n // _STRIDE_HITS, "right"))
+    cut2 = int(np.searchsorted(squares, n // _STRIDE_HITS, "right"))
+    for p, step in zip(primes[:cut].tolist(), steps[:cut].tolist()):
+        acc[(-lo) % p::p] += step
+    for p2 in squares[:cut2].tolist():
+        square[(-lo) % p2::p2] = True
+    for b in range(cut, primes.size, _SCATTER_STEPS):
+        idx, owner = _hits(lo, n, primes[b:b + _SCATTER_STEPS])
+        np.add.at(acc, idx, steps[b + owner])
+    for b in range(cut2, squares.size, _SCATTER_STEPS):
+        square[_hits(lo, n, squares[b:b + _SCATTER_STEPS])[0]] = True
+    # Square-free m has at most one prime factor q > sqrt(hi - 1), and c <= 15
+    # sieving ones (hi <= 2^63 < their product at 16).  Each floor loses
+    # less than 1 (float rounding moves it by far less than the margin), so
+    # with no q, 16 log2 m - S < c <= 15; with q (q >= 5, as 2 and 3 are
+    # sieved), 16 log2 m - S >= 16 log2 5 > 37.  For m in
+    # [2^k, 2^(k+1)), 16 log2 m lies in [16k, 16k + 16), so S > 16k - 15
+    # without q and S < 16k - 21 with it: q is there exactly when
+    # S < 16(k - 1), i.e. acc < 256(k - 1).
+    leftover = np.empty(n, dtype=bool)
+    for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
+        a, b = max(lo, 1 << k) - lo, min(hi, 2 << k) - lo
+        np.less(acc[a:b], max(256 * (k - 1), 0), out=leftover[a:b])
+    mu = 1 - 2 * ((acc & 1).astype(np.int8) ^ leftover)
+    mu[square] = 0
+    return mu, (acc & 15).astype(np.uint8) + leftover if want_omega else None
 
 
 def iter_mobius(lo: int, hi: int, want_omega: bool = False) -> Iterator[tuple]:
     """Stream (seg_lo, seg_hi, mu[, omega]) covering [lo, hi) in order."""
-    if not 1 <= lo < hi:
-        raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    primes = base_primes(isqrt(hi - 1) + 1)
+    if not 1 <= lo < hi <= _MAX_HI:
+        raise ValueError(f"need 1 <= lo < hi <= 2^63, got [{lo}, {hi})")
+    primes = base_primes(max(isqrt(hi - 1), 3))
     for seg_lo in range(lo, hi, DEFAULT_SEGMENT):
         seg_hi = min(seg_lo + DEFAULT_SEGMENT, hi)
         mu, omega = _sieve_segment(seg_lo, seg_hi, primes, want_omega)

@@ -3,9 +3,10 @@
 Each hash was recorded on the code before the refactor that added it
 (the battery and residue hashes before the duplicate removal, the pi,
 omega and divisor table hashes before the divisor tally left the scan,
-the uniformity report hash before the chi-square tails were unified)
+the uniformity report hash before the chi-square tails were unified, the
+`gen` file hashes before the sieve traded division for log sums)
 and pins behaviour for later performance work: a faster path that changes
-any JSONL or CSV byte fails here.
+any JSONL, CSV or MSF byte fails here.
 """
 
 import hashlib
@@ -25,6 +26,13 @@ TABLE_SHA256 = {
     "pi": "d707a71cb4ffa55d2d375509e94477b67585378beeea2bcc42153d4df6814b5b",
     "omega": "8dffa84e13d71ff7567db0eb1d0cad59caefcf849212709c887e676e30804b53",
     "divisor": "caa6919067d40b38ea3b74864a97ac1476653f84560d4cb252652d7e27cbfce5",
+}
+
+# `gen --start S --count N`
+GEN_SHA256 = {
+    (1, 2_000_000): "0e2ab7faf39f686c98188d11dbc5328825908fdb5a6b6beb8f469ae0566945b7",
+    (1_000_000_007, 1_000_000): "b9c6fcf3def6af26798c3277bcb28ad214fed9c35f9f5de187bb460983d82fd9",
+    (10 ** 12, 100_000): "c3180ab9f32e82ae32842121287425b30dc031538be2443eff5986b9553ad092",
 }
 
 
@@ -63,3 +71,11 @@ def test_sequence_table_bytes(tmp_path, which):
     out = tmp_path / f"{which}.csv"
     assert cli.main(["tables", "--which", which, "--n", "1e6", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_SHA256[which]
+
+
+@pytest.mark.parametrize("start, count", sorted(GEN_SHA256))
+def test_gen_file_bytes(tmp_path, start, count):
+    out = tmp_path / "seq.msf"
+    assert cli.main(["gen", "--start", str(start), "--count", str(count),
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_SHA256[start, count]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,21 @@ def test_character_orthogonality_q7():
 def test_composite_modulus_rejected():
     with pytest.raises(dirichlet.UnsupportedModulusError):
         dirichlet.character_table(8)
+
+
+def test_character_table_budget():
+    # the least prime whose (q - 1) x q table exceeds the window budget; the
+    # table would take 1 GiB, and it must be refused before any of it exists
+    q = next(q for q in range(math.isqrt(seqgen.MAX_WINDOW), 2 * math.isqrt(seqgen.MAX_WINDOW))
+             if seqgen.is_prime(q) and (q - 1) * q > seqgen.MAX_WINDOW)
+    tracemalloc.start()
+    try:
+        with pytest.raises(seqgen.SegmentBudgetError):
+            dirichlet.character_table(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gauss_sums():

@@ -1,0 +1,114 @@
+"""The log-sum, width-aware Mobius sieve against the division sieve it
+replaced.
+
+`division_sieve` is the former `seqgen._sieve_segment`: it divides an int64
+residue array by every base prime and counts what is left over.  The
+current kernel must give the same mu everywhere and the same omega wherever
+mu != 0 (the only place omega is read), on every small window, across the
+strided/scattered cut, at the sieve's segment edge, at large offsets and on
+integers built to sit closest to the log-sum threshold.
+"""
+
+from math import isqrt, prod
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mobiuswalk import seqgen
+
+SEGMENT = seqgen.DEFAULT_SEGMENT
+OFFSETS = (1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 2_500_000_000, 10 ** 12,
+           1_600_000_000_000, 10 ** 13)
+# primes move from the scatter to the strided slices at width 64 p
+WIDTHS = (1, 7, 600, 5000, 64 * 2 - 1, 64 * 2, 64 * 2 + 1, 64 * 97 - 1, 64 * 97,
+          64 * 97 + 1)
+
+
+def division_sieve(lo: int, hi: int):
+    """(mu, omega) on [lo, hi) by dividing out every prime p with p^2 < hi."""
+    n = hi - lo
+    mu = np.ones(n, dtype=np.int8)
+    omega = np.zeros(n, dtype=np.uint8)
+    residue = np.arange(lo, hi, dtype=np.int64)
+    for p in seqgen.base_primes(isqrt(hi - 1)).tolist():
+        start = (-lo) % p
+        mu[start::p] = -mu[start::p]
+        residue[start::p] //= p
+        omega[start::p] += 1
+        mu[(-lo) % (p * p)::p * p] = 0
+    leftover = residue > 1
+    mu[leftover] = -mu[leftover]
+    omega[leftover] += 1
+    return mu, omega
+
+
+def sieve(lo: int, hi: int):
+    """(mu, omega) on [lo, hi) from iter_mobius, joined over segments."""
+    parts = list(seqgen.iter_mobius(lo, hi, want_omega=True))
+    return (np.concatenate([mu for _, _, mu, _ in parts]),
+            np.concatenate([om for _, _, _, om in parts]))
+
+
+def assert_same(got, want, where):
+    mu, omega = got
+    want_mu, want_omega = want
+    assert np.array_equal(mu, want_mu), where
+    assert np.array_equal(omega[mu != 0], want_omega[mu != 0]), where
+
+
+def test_every_window_below_300():
+    want = division_sieve(1, 300)
+    for hi in range(2, 301):
+        for lo in range(1, hi):
+            assert_same(sieve(lo, hi), (want[0][lo - 1:hi - 1], want[1][lo - 1:hi - 1]),
+                        (lo, hi))
+
+
+@pytest.mark.parametrize("lo", OFFSETS)
+def test_widths_at_offsets(lo):
+    want = division_sieve(lo, lo + max(WIDTHS))
+    for w in WIDTHS:
+        assert_same(sieve(lo, lo + w), (want[0][:w], want[1][:w]), (lo, w))
+
+
+@pytest.mark.parametrize("lo", (1, 2_500_000_000, 1_600_000_000_000))
+def test_full_segment(lo):
+    assert_same(sieve(lo, lo + SEGMENT), division_sieve(lo, lo + SEGMENT), lo)
+
+
+def test_primorial_times_smallest_leftover():
+    # m = P q with P a primorial and q the least prime with q^2 >= hi: as
+    # many sieving primes as m can hold and the smallest leftover prime, so
+    # its log sum sits closest to the leftover threshold
+    for r in range(1, 9):
+        primorial = prod(seqgen.first_primes(r).tolist())
+        q = primorial + 1
+        while not (seqgen.is_prime(q) and q * q >= primorial * q + 64):
+            q += 1
+        m = primorial * q
+        lo = max(1, m - 63)
+        mu, omega = sieve(lo, m + 64)
+        assert (mu[m - lo], omega[m - lo]) == ((-1) ** (r + 1), r + 1), r
+        if m < 10 ** 13:
+            assert_same((mu, omega), division_sieve(lo, m + 64), r)
+
+
+def test_window_beyond_packed_range():
+    with pytest.raises(ValueError):
+        next(seqgen.iter_mobius(2 ** 63 - 5, 2 ** 63 + 1))
+
+
+def mu_trial_division(m: int) -> int:
+    primes = seqgen.base_primes(isqrt(m))
+    divisors = primes[m % primes == 0].tolist()
+    if any(m % (p * p) == 0 for p in divisors):
+        return 0
+    return (-1) ** (len(divisors) + (m > prod(divisors)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10 ** 13), st.integers(1, 40))
+def test_mobius_range_against_trial_division(lo, width):
+    values = seqgen.mobius_range(lo, lo + width).values
+    assert values.tolist() == [mu_trial_division(m) for m in range(lo, lo + width)]
