@@ -26,8 +26,8 @@ import numpy as np
 
 DEFAULT_SEGMENT = 1 << 22
 MAX_WINDOW = 1 << 26
-_MAX_HI = 1 << 63  # int64 positions; the packed sieve counters stay exact below it
 _STRIDE_HITS = 64
+_MIN_SCATTER = 32  # fewer steps than this are cheaper strided than scattered
 _SCATTER_STEPS = (1 << 20) // _STRIDE_HITS  # so a block scatters at most 2^20 hits
 
 MAGIC = b"MSF1"
@@ -127,6 +127,13 @@ def _hits(lo: int, n: int, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return start[owner] + j * steps[owner], owner
 
 
+def _stride_cut(steps: np.ndarray, n: int) -> int:
+    """Steps below the cut hit n integers _STRIDE_HITS times or more and are
+    strided; the rest are scattered, unless too few are left to pay for it."""
+    cut = int(np.searchsorted(steps, n // _STRIDE_HITS, "right"))
+    return cut if steps.size - cut >= _MIN_SCATTER else steps.size
+
+
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray, want_omega: bool):
     n = hi - lo
     # the sieving primes: every p with p^2 < hi, and always 2 and 3
@@ -137,10 +144,7 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, want_omega: bool):
     steps = ((16 * np.log2(primes)).astype(np.uint16) << 4) | 1
     acc = np.zeros(n, dtype=np.uint16)
     square = np.zeros(n, dtype=bool)
-    # a step that hits the window _STRIDE_HITS times or more is one strided
-    # slice; the others hit it at most that often and are scattered in blocks
-    cut = int(np.searchsorted(primes, n // _STRIDE_HITS, "right"))
-    cut2 = int(np.searchsorted(squares, n // _STRIDE_HITS, "right"))
+    cut, cut2 = _stride_cut(primes, n), _stride_cut(squares, n)
     for p, step in zip(primes[:cut].tolist(), steps[:cut].tolist()):
         acc[(-lo) % p::p] += step
     for p2 in squares[:cut2].tolist():
@@ -150,18 +154,16 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, want_omega: bool):
         np.add.at(acc, idx, steps[b + owner])
     for b in range(cut2, squares.size, _SCATTER_STEPS):
         square[_hits(lo, n, squares[b:b + _SCATTER_STEPS])[0]] = True
-    # Square-free m has at most one prime factor q > sqrt(hi - 1), and c <= 15
-    # sieving ones (hi <= 2^63 < their product at 16).  Each floor loses
-    # less than 1 (float rounding moves it by far less than the margin), so
-    # with no q, 16 log2 m - S < c <= 15; with q (q >= 5, as 2 and 3 are
-    # sieved), 16 log2 m - S >= 16 log2 5 > 37.  For m in
-    # [2^k, 2^(k+1)), 16 log2 m lies in [16k, 16k + 16), so S > 16k - 15
-    # without q and S < 16k - 21 with it: q is there exactly when
-    # S < 16(k - 1), i.e. acc < 256(k - 1).
-    leftover = np.empty(n, dtype=bool)
-    for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
+    # Square-free m has at most one prime factor q > sqrt(hi - 1) and c <= 15
+    # sieving ones (the first 16 primes multiply past 2^63).  Each floor loses
+    # under 1 (float error is far below the margin), so 16 log2 m - S < c
+    # without q, and >= 16 log2 5 > 37 with q (q >= 5, as 2 and 3 are sieved).
+    # On m in [2^k, 2^(k+1)) that puts S above 16k - 15 without q and below
+    # 16k - 21 with it: q is there exactly when S < 16(k - 1), acc < 256(k - 1).
+    leftover = np.zeros(n, dtype=bool)  # no q below 4, as 2 and 3 are sieved
+    for k in range(max(lo.bit_length() - 1, 2), (hi - 1).bit_length()):
         a, b = max(lo, 1 << k) - lo, min(hi, 2 << k) - lo
-        np.less(acc[a:b], max(256 * (k - 1), 0), out=leftover[a:b])
+        np.less(acc[a:b], 256 * (k - 1), out=leftover[a:b])
     mu = 1 - 2 * ((acc & 1).astype(np.int8) ^ leftover)
     mu[square] = 0
     return mu, (acc & 15).astype(np.uint8) + leftover if want_omega else None
@@ -169,7 +171,7 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, want_omega: bool):
 
 def iter_mobius(lo: int, hi: int, want_omega: bool = False) -> Iterator[tuple]:
     """Stream (seg_lo, seg_hi, mu[, omega]) covering [lo, hi) in order."""
-    if not 1 <= lo < hi <= _MAX_HI:
+    if not 1 <= lo < hi <= 1 << 63:  # int64 positions, exact packed counts
         raise ValueError(f"need 1 <= lo < hi <= 2^63, got [{lo}, {hi})")
     primes = base_primes(max(isqrt(hi - 1), 3))
     for seg_lo in range(lo, hi, DEFAULT_SEGMENT):
