@@ -64,8 +64,18 @@ def _as_bits(block) -> np.ndarray:
     return bits
 
 
-def _mu(bits: np.ndarray) -> np.ndarray:
-    return 2 * bits.astype(np.int64) - 1
+def _signs(bits: np.ndarray, dtype) -> np.ndarray:
+    """The values 2b - 1 in a signed dtype, built without a wider temporary."""
+    signs = bits.astype(dtype)
+    signs *= 2
+    signs -= 1
+    return signs
+
+
+def _walk(bits: np.ndarray) -> np.ndarray:
+    """Partial sums of the +-1 values, in int32 unless they could overflow it."""
+    return np.cumsum(_signs(bits, np.int8),
+                     dtype=np.int32 if bits.size < 2 ** 31 else np.int64)
 
 
 def _require(bits: np.ndarray, n_min: int, test: str) -> None:
@@ -73,10 +83,17 @@ def _require(bits: np.ndarray, n_min: int, test: str) -> None:
         raise ValueError(f"{test} needs at least {n_min} bits, got {bits.size}")
 
 
-def _word_codes(bits: np.ndarray, m: int, n_words: int) -> np.ndarray:
-    """Values of the first n_words non-overlapping m-bit words, first bit high."""
-    words = bits[:n_words * m].reshape(n_words, m)
-    return words.dot(1 << np.arange(m - 1, -1, -1, dtype=np.int64))
+def _word_codes(words: np.ndarray) -> np.ndarray:
+    """Value of each row of an (n, m) bit array, first bit high.
+
+    The codes use the narrowest unsigned dtype that holds m bits.
+    """
+    m = words.shape[1]
+    codes = np.zeros(words.shape[0], dtype=np.min_scalar_type((1 << m) - 1))
+    for j in range(m):
+        codes <<= 1
+        codes |= words[:, j]
+    return codes
 
 
 def monobit(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
@@ -97,7 +114,8 @@ def serial_frequency(block, m: int, alpha: float = DEFAULT_ALPHA) -> TestResult:
     bits = _as_bits(block)
     _require(bits, 5 * (2 ** m) * m, f"serial m={m}")
     n_tuples = bits.size // m
-    counts = np.bincount(_word_codes(bits, m, n_tuples), minlength=2 ** m)
+    codes = _word_codes(bits[:n_tuples * m].reshape(n_tuples, m))
+    counts = np.bincount(codes, minlength=2 ** m)
     expected = n_tuples / 2 ** m
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
     dof = 2 ** m - 1
@@ -159,6 +177,30 @@ def gf2_rank(rows: list[int]) -> int:
     return rank
 
 
+def _gf2_ranks(rows: np.ndarray, h: int) -> np.ndarray:
+    """GF(2) ranks of n h x h matrices given as an (n, h) array of uint64 rows.
+
+    Gaussian elimination on all matrices at once, one step per column c:
+    the first free row with bit c set becomes that matrix's pivot and is
+    xored into every free row with bit c set (zeroing itself, which is never
+    read again).
+    """
+    rows = rows.copy()
+    which = np.arange(rows.shape[0])
+    free = np.ones(rows.shape, dtype=bool)
+    ranks = np.zeros(rows.shape[0], dtype=np.int64)
+    for c in range(h):
+        candidates = (rows & np.uint64(1 << c)).astype(bool)
+        candidates &= free
+        first = candidates.argmax(axis=1)
+        found = candidates[which, first]
+        pivots = rows[which, first]
+        free[which, first] &= ~found
+        np.bitwise_xor(rows, pivots[:, None], out=rows, where=candidates)
+        ranks += found
+    return ranks
+
+
 def matrix_rank_probability(h: int, r: int) -> float:
     """Probability that a random h x h binary matrix has GF(2) rank r."""
     if not 0 <= r <= h:
@@ -181,8 +223,9 @@ def matrix_rank_probability_exact(h: int, r: int) -> Fraction:
 
 def matrix_rank(block, h: int = 32, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Rank classes (h, h-1, lower) of disjoint h x h binary matrices."""
-    if not 1 <= h <= 64:
-        raise ValueError(f"h must lie in 1..64 (rows are packed into uint64), got {h}")
+    # h = 1 has no "rest" class (rank below h - 1), so its chi-square is undefined
+    if not 2 <= h <= 64:
+        raise ValueError(f"h must lie in 2..64 (rows are packed into uint64), got {h}")
     bits = _as_bits(block)
     _require(bits, 38 * h * h, f"matrix_rank h={h}")
     n_mats = bits.size // (h * h)
@@ -191,8 +234,8 @@ def matrix_rank(block, h: int = 32, alpha: float = DEFAULT_ALPHA) -> TestResult:
     # each row as one little-endian uint64 whose bit j is column j
     padded = np.pad(packed, ((0, 0), (0, 0), (0, 8 - packed.shape[2])))
     rows_int = padded.view("<u8")[..., 0]
-    ranks = [gf2_rank(rows) for rows in rows_int.tolist()]
-    c_full, c_one = ranks.count(h), ranks.count(h - 1)
+    ranks = np.bincount(_gf2_ranks(rows_int, h), minlength=h + 1)
+    c_full, c_one = int(ranks[h]), int(ranks[h - 1])
     p_full = matrix_rank_probability(h, h)
     p_one = matrix_rank_probability(h, h - 1)
     c_rest = n_mats - c_full - c_one
@@ -213,7 +256,7 @@ def spectral_dft(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
     if bits.size % 2:
         raise ValueError("spectral test needs an even block length")
     n = bits.size
-    mods = np.abs(np.fft.rfft(_mu(bits).astype(np.float64)))[:n // 2]
+    mods = np.abs(np.fft.rfft(_signs(bits, np.float64))[:n // 2])
     threshold = spectral_threshold(n)
     n0 = 0.95 * n / 2.0
     ne = int(np.count_nonzero(mods < threshold))
@@ -232,6 +275,8 @@ def nonoverlapping_template(block, template=DEFAULT_TEMPLATE, n_sub: int = 80,
                             sub_len: int = 80, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Occurrences of an aperiodic pattern, sliding 1 on miss and m on hit."""
     template = _as_bits(template)
+    if template.size == 0:
+        raise ValueError("template must hold at least one bit")
     if not is_aperiodic(template):
         raise ValueError("template is periodic; test requires an aperiodic pattern")
     bits = _as_bits(block)
@@ -266,23 +311,27 @@ def maurer_statistic(block, m_bits: int, q_init: int, k_test: int) -> tuple[floa
     The table holds the last-occurrence block index per word value after
     the full pass (0 = never seen).
     """
+    if q_init < 0 or k_test < 1:
+        raise ValueError(f"need q_init >= 0 and k_test >= 1, got {q_init}, {k_test}")
     bits = _as_bits(block)
     n_blocks = q_init + k_test
     _require(bits, m_bits * n_blocks, "maurer")
-    vals = _word_codes(bits, m_bits, n_blocks)
+    vals = _word_codes(bits[:n_blocks * m_bits].reshape(n_blocks, m_bits))
+    # a stable sort lists each value's block indices in increasing order
+    order = np.argsort(vals, kind="stable")
+    edges = np.searchsorted(vals[order], np.arange(2 ** m_bits + 1))
     total = 0.0
     table = [0] * (2 ** m_bits)
     for v in range(2 ** m_bits):
-        pos = np.flatnonzero(vals == v) + 1  # 1-based block indices
+        pos = order[edges[v]:edges[v + 1]] + 1  # 1-based block indices
         if pos.size == 0:
             continue
-        init = pos[pos <= q_init]
-        test = pos[pos > q_init]
+        split = int(np.searchsorted(pos, q_init, side="right"))
         table[v] = int(pos[-1])
-        if test.size == 0:
+        if split == pos.size:
             continue
-        prev = int(init[-1]) if init.size else 0
-        seq = np.concatenate([[prev], test])
+        prev = int(pos[split - 1]) if split else 0
+        seq = np.concatenate([[prev], pos[split:]])
         total += float(np.log2(np.diff(seq)).sum())
     return total / k_test, table
 
@@ -296,6 +345,11 @@ def maurer_universal(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
                       f_n, p)
 
 
+def _phi(counts: np.ndarray, n: int) -> float:
+    pi = counts[counts > 0] / n
+    return float(np.sum(pi * np.log(pi)))
+
+
 def entropy_phi(block, m: int) -> float:
     """Sum of pi log pi over overlapping m-bit patterns (wrap-around)."""
     bits = _as_bits(block)
@@ -304,9 +358,7 @@ def entropy_phi(block, m: int) -> float:
     vals = np.zeros(n, dtype=np.int64)
     for j in range(m):
         vals = 2 * vals + ext[j:j + n]
-    counts = np.bincount(vals, minlength=2 ** m)
-    pi = counts[counts > 0] / n
-    return float(np.sum(pi * np.log(pi)))
+    return _phi(np.bincount(vals, minlength=2 ** m), n)
 
 
 def approximate_entropy(block, m: int = 4, alpha: float = DEFAULT_ALPHA) -> TestResult:
@@ -316,8 +368,12 @@ def approximate_entropy(block, m: int = 4, alpha: float = DEFAULT_ALPHA) -> Test
     bits = _as_bits(block)
     _require(bits, 2 ** (m + 5), f"entropy m={m}")
     n = bits.size
-    phi_m = entropy_phi(bits, m)
-    phi_m1 = entropy_phi(bits, m + 1)
+    # the m-bit code at each position is its (m+1)-bit code shifted right by
+    # one, so the m-bit counts are the (m+1)-bit counts summed in pairs
+    codes = _word_codes(sliding_window_view(np.concatenate([bits, bits[:m]]), m + 1))
+    counts_m1 = np.bincount(codes, minlength=2 ** (m + 1))
+    phi_m = _phi(counts_m1.reshape(-1, 2).sum(axis=1), n)
+    phi_m1 = _phi(counts_m1, n)
     chi2 = 2.0 * n * (log(2.0) - (phi_m - phi_m1))
     return TestResult("entropy", {"m": m, "n": n}, chi2,
                       chi2_pvalue(chi2, 2 ** m, alpha),
@@ -351,7 +407,8 @@ def cumulative_sums(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
     bits = _as_bits(block)
     _require(bits, 100, "cumsum")
     n = bits.size
-    t = int(np.abs(np.cumsum(_mu(bits))).max())
+    walk = _walk(bits)
+    t = max(int(walk.max()), -int(walk.min()))
     z = t / sqrt(n)
     return TestResult("cumsum", {"n": n}, z,
                       PValue(1.0 - cusum_reference_cdf(z), alpha),
@@ -384,16 +441,21 @@ def excursion_cycle_counts(walk_with_zeros: np.ndarray, state: int) -> np.ndarra
 def random_excursions(block, alpha: float = DEFAULT_ALPHA) -> list[TestResult]:
     """Visit-count tests of the walk states +-1..+-4 over zero-crossing cycles."""
     bits = _as_bits(block)
-    walk = np.cumsum(_mu(bits))
-    padded = np.concatenate([[0], walk, [0]] if walk[-1] != 0 else [[0], walk])
-    j = int(np.count_nonzero(padded[1:] == 0))
+    _require(bits, 1000, "excursions")
+    walk = _walk(bits)
+    zeros = np.flatnonzero(walk == 0)
+    # cycles end at each zero of the walk and, if it ends off zero, at its end
+    j = zeros.size + int(walk[-1] != 0)
     if j < EXCURSION_MIN_CYCLES:
         return [TestResult(f"excursions[{x:+d}]", {"J": j}, None, None,
                            skipped="insufficient cycles")
                 for x in EXCURSION_STATES]
+    near = np.flatnonzero((np.abs(walk) <= 4) & (walk != 0))
+    cycle = np.searchsorted(zeros, near)  # int64: the zeros before each visit
+    visits = np.bincount(9 * cycle + (walk[near] + 4), minlength=9 * j).reshape(j, 9)
     results = []
     for x in EXCURSION_STATES:
-        nu = excursion_cycle_counts(padded, x)
+        nu = np.bincount(np.minimum(visits[:, x + 4], 5), minlength=6)
         chi2, p = chi2_test(nu, j * excursion_state_probs(x), 5, alpha)
         results.append(TestResult(f"excursions[{x:+d}]", {"state": x, "J": j},
                                   chi2, p, aux={"nu": nu.tolist()}))
@@ -403,11 +465,13 @@ def random_excursions(block, alpha: float = DEFAULT_ALPHA) -> list[TestResult]:
 def cross_correlation_random(block, rng_or_seed, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Dot product with a seeded fair +-1 sequence, scaled by sqrt(n)."""
     bits = _as_bits(block)
+    _require(bits, 100, "cross_correlation")
     rng = (rng_or_seed if isinstance(rng_or_seed, np.random.Generator)
            else np.random.default_rng(rng_or_seed))
     n = bits.size
-    r = rng.integers(0, 2, size=n, dtype=np.int8).astype(np.int64) * 2 - 1
-    dot = int(np.dot(_mu(bits), r))
+    ref = rng.integers(0, 2, size=n, dtype=np.int8).view(np.uint8)
+    # each agreeing position adds 1 to the +-1 dot product, each other one -1
+    dot = n - 2 * int(np.count_nonzero(bits != ref))
     stat = abs(dot) / sqrt(n)
     return TestResult("cross_correlation", {"n": n}, stat,
                       erfc_pvalue(stat, alpha), aux={"dot": dot})
@@ -418,12 +482,14 @@ def autocorrelation(blocks, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     acc = None
     count = 0
     for block in blocks:
-        a = _mu(_as_bits(block)).astype(np.float64)
+        a = _signs(_as_bits(block), np.float64)
         t = a.size
         if t < 10 * max_lag:
             raise ValueError(f"block length {t} must be >= 10 * max_lag")
         c = a - a.mean()
         denom = float(np.dot(c, c))
+        if denom == 0.0:
+            raise ValueError("a constant block has no autocorrelation")
         nfft = 1 << int(np.ceil(np.log2(2 * t)))
         full = np.fft.irfft(np.abs(np.fft.rfft(c, nfft)) ** 2)[:max_lag + 1]
         gamma = full / denom

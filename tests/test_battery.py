@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobiuswalk import battery as bt
 from mobiuswalk import mertens, seqgen
@@ -129,8 +131,34 @@ def test_matrix_rank_test():
     assert res10.params["H"] == 10
     with pytest.raises(ValueError):
         bt.matrix_rank(np.ones(100, dtype=np.uint8), 32)
-    with pytest.raises(ValueError, match="1..64"):
+    with pytest.raises(ValueError, match="2..64"):
         bt.matrix_rank(fair_bits(6, 38 * 65 * 65), 65)
+    # h = 1 has no "rest" class, so its chi-square would be undefined
+    with pytest.raises(ValueError, match="2..64"):
+        bt.matrix_rank(fair_bits(6, 1000), 1)
+
+
+def _stress_rows(rng, h, n):
+    """n h x h matrices as uint64 rows: full, low-rank, repeated-row and zero."""
+    mask = np.uint64((1 << h) - 1)
+    full = rng.integers(0, 2 ** 64, size=(n, h), dtype=np.uint64) & mask
+    basis = rng.integers(0, 2 ** 64, size=(n, 1, h), dtype=np.uint64) & mask
+    keep = rng.integers(0, 2, size=(n, h, h), dtype=bool)
+    keep &= np.arange(h) < rng.integers(0, h + 1, size=(n, 1, 1))  # rank <= k
+    low = np.bitwise_xor.reduce(np.where(keep, basis, np.uint64(0)), axis=2)
+    repeated = full.copy()
+    repeated[:, rng.integers(0, h)] = repeated[:, rng.integers(0, h)]
+    zero = np.zeros((1, h), dtype=np.uint64)
+    return np.concatenate([full, low, repeated, zero])
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_gf2_ranks_match_loop(h, seed):
+    rows = _stress_rows(np.random.default_rng(seed), h, 40)
+    want = [bt.gf2_rank(r) for r in rows.tolist()]
+    assert bt._gf2_ranks(rows, h).tolist() == want
+    assert min(want) == 0  # the zero matrix is in the batch
 
 
 def test_spectral():
@@ -185,6 +213,37 @@ def test_maurer_toy_example():
     assert f_n == pytest.approx(1.69499, abs=1e-5)
 
 
+def _maurer_loop(bits, m_bits, q_init, k_test):
+    """The per-value scan maurer_statistic replaced, kept as its oracle."""
+    n_blocks = q_init + k_test
+    words = bits[:n_blocks * m_bits].reshape(n_blocks, m_bits).astype(np.int64)
+    vals = words.dot(1 << np.arange(m_bits - 1, -1, -1, dtype=np.int64))
+    total = 0.0
+    table = [0] * (2 ** m_bits)
+    for v in range(2 ** m_bits):
+        pos = np.flatnonzero(vals == v) + 1
+        if pos.size == 0:
+            continue
+        init = pos[pos <= q_init]
+        test = pos[pos > q_init]
+        table[v] = int(pos[-1])
+        if test.size == 0:
+            continue
+        prev = int(init[-1]) if init.size else 0
+        seq = np.concatenate([[prev], test])
+        total += float(np.log2(np.diff(seq)).sum())
+    return total / k_test, table
+
+
+def test_maurer_matches_loop():
+    toy = np.array([1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1],
+                   dtype=np.uint8)
+    assert bt.maurer_statistic(toy, 2, 4, 6) == _maurer_loop(toy, 2, 4, 6)
+    args = (bt.MAURER_M, bt.MAURER_Q, bt.MAURER_K)
+    block = fair_bits(12, bt.MAURER_M * (bt.MAURER_Q + bt.MAURER_K) + 5)
+    assert bt.maurer_statistic(block, *args) == _maurer_loop(block, *args)
+
+
 def test_maurer_full_length():
     n = bt.MAURER_M * (bt.MAURER_Q + bt.MAURER_K)
     res = bt.maurer_universal(fair_bits(11, n))
@@ -202,6 +261,16 @@ def test_entropy_toy_example():
     # wrap-around window count: 0101 appears three times (not twice),
     # hence the value below; derived by direct enumeration
     assert phi4 == pytest.approx(-1.83437, abs=1e-5)
+
+
+def test_entropy_counts_match_phi():
+    # phi_m and phi_m1 come from one set of (m+1)-bit counts; entropy_phi
+    # counts each width on its own
+    for m in range(1, 8):
+        bits = fair_bits(100 + m, 2 ** (m + 5) + 37 * m)
+        res = bt.approximate_entropy(bits, m)
+        assert res.aux["phi_m"] == bt.entropy_phi(bits, m)
+        assert res.aux["phi_m1"] == bt.entropy_phi(bits, m + 1)
 
 
 def test_entropy_statistic():
@@ -247,6 +316,27 @@ def test_excursions_toy_cycles():
     assert bt.excursion_cycle_counts(padded, 3).tolist() == [3, 0, 0, 0, 0, 0]
 
 
+def _balanced_chunks(seed, n_chunks, half):
+    """Walk steps that return to zero after every 2 * half bits."""
+    rng = np.random.default_rng(seed)
+    chunk = np.repeat(np.array([0, 1], dtype=np.uint8), half)
+    return np.concatenate([rng.permutation(chunk) for _ in range(n_chunks)])
+
+
+@pytest.mark.parametrize("tail", [[], [1, 1, 0, 1, 1, 1]])
+def test_excursions_match_cycle_counts(tail):
+    bits = np.concatenate([_balanced_chunks(31, 1000, 10), np.array(tail, np.uint8)])
+    walk = np.cumsum(2 * bits.astype(np.int64) - 1)
+    assert (walk[-1] == 0) == (not tail)
+    padded = np.concatenate([[0], walk, [0]] if walk[-1] != 0 else [[0], walk])
+    j = int(np.count_nonzero(padded[1:] == 0))
+    results = bt.random_excursions(bits)
+    assert len(results) == 8
+    for x, res in zip(bt.EXCURSION_STATES, results):
+        assert res.params == {"state": x, "J": j}
+        assert res.aux["nu"] == bt.excursion_cycle_counts(padded, x).tolist()
+
+
 def test_excursions_skip_and_run():
     short = bt.random_excursions(fair_bits(19, 2000))
     assert all(r.skipped == "insufficient cycles" for r in short)
@@ -265,6 +355,11 @@ def test_cross_correlation():
     # correlating the sequence with itself is maximal
     mu = 2 * bits.astype(np.int64) - 1
     assert abs(int(np.dot(mu, mu))) == 10 ** 4
+    # the agreement count equals the int64 dot product with the same draw
+    for n in (100, 10 ** 4 - 1):
+        r = np.random.default_rng(5).integers(0, 2, size=n, dtype=np.int8)
+        want = int(np.dot(mu[:n], 2 * r.astype(np.int64) - 1))
+        assert bt.cross_correlation_random(bits[:n], 5).aux["dot"] == want
 
 
 def test_cross_correlation_sqrt_growth():
@@ -296,6 +391,22 @@ def test_autocorrelation():
     assert np.allclose(g, want, atol=1e-9)
     with pytest.raises(ValueError):
         bt.autocorrelation(blocks, max_lag=10 ** 4)
+
+
+def test_degenerate_inputs_rejected():
+    empty = np.zeros(0, dtype=np.uint8)
+    with pytest.raises(ValueError, match="needs at least"):
+        bt.random_excursions(empty)
+    with pytest.raises(ValueError, match="needs at least"):
+        bt.cross_correlation_random(empty, 0)
+    with pytest.raises(ValueError, match="k_test >= 1"):
+        bt.maurer_statistic(fair_bits(1, 1000), 2, 4, 0)
+    with pytest.raises(ValueError, match="constant block"):
+        bt.autocorrelation([np.ones(1000, dtype=np.uint8)], max_lag=10)
+    # an empty template is vacuously aperiodic and would count no hits
+    with pytest.raises(ValueError, match="at least one bit"):
+        bt.nonoverlapping_template(np.ones(10000, dtype=np.uint8),
+                                   np.zeros(0, dtype=np.uint8))
 
 
 def test_run_battery_counts_and_determinism():
@@ -373,6 +484,5 @@ def test_registry_minimum_lengths(name):
     below = [res for start, _, res in report.block_results if start == min_len]
     assert at_min and all(res.skipped != "insufficient length" for res in at_min)
     assert [res.skipped for res in below] == ["insufficient length"]
-    if name not in ("excursions", "cross_correlation"):  # no check of their own
-        with pytest.raises(ValueError, match="needs at least"):
-            bt.TESTS[name][1](bits[:-1], 0.01, 0, 0)
+    with pytest.raises(ValueError, match="needs at least"):
+        bt.TESTS[name][1](bits[:-1], 0.01, 0, 0)
