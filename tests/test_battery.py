@@ -143,11 +143,13 @@ def _stress_rows(rng, h, n):
     mask = np.uint64((1 << h) - 1)
     full = rng.integers(0, 2 ** 64, size=(n, h), dtype=np.uint64) & mask
     basis = rng.integers(0, 2 ** 64, size=(n, 1, h), dtype=np.uint64) & mask
-    keep = rng.integers(0, 2, size=(n, h, h), dtype=bool)
-    keep &= np.arange(h) < rng.integers(0, h + 1, size=(n, 1, 1))  # rank <= k
+    k = rng.integers(0, h + 1, size=(n, 1, 1))
+    # row i xors a random subset of the first k basis rows, so rank <= k
+    keep = rng.integers(0, 2, size=(n, h, h), dtype=bool) & (np.arange(h) < k)
     low = np.bitwise_xor.reduce(np.where(keep, basis, np.uint64(0)), axis=2)
     repeated = full.copy()
-    repeated[:, rng.integers(0, h)] = repeated[:, rng.integers(0, h)]
+    copy_to, copy_from = rng.choice(h, size=2, replace=False)
+    repeated[:, copy_to] = repeated[:, copy_from]
     zero = np.zeros((1, h), dtype=np.uint64)
     return np.concatenate([full, low, repeated, zero])
 
