@@ -41,6 +41,8 @@ DEFAULT_TEMPLATE = np.array([0, 0, 1, 0, 1, 1, 0, 1], dtype=np.uint8)
 EXCURSION_STATES = (-4, -3, -2, -1, 1, 2, 3, 4)
 EXCURSION_MIN_CYCLES = 800
 
+_CUSUM_SERIES_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -381,7 +383,7 @@ def approximate_entropy(block, m: int = 4, alpha: float = DEFAULT_ALPHA) -> Test
                            "apen": phi_m - phi_m1})
 
 
-def cusum_reference_cdf(z: float, tol: float = 1e-12) -> float:
+def cusum_reference_cdf(z: float) -> float:
     """Limit law G(z) of the scaled maximum absolute partial sum."""
     if z <= 0.0:
         return 0.0
@@ -392,14 +394,10 @@ def cusum_reference_cdf(z: float, tol: float = 1e-12) -> float:
     while True:
         term = 2.0 * (phi((2 * k + 1) * z) - phi((2 * k - 1) * z))
         total += term if k % 2 == 0 else -term
-        if abs(term) < tol:
+        if abs(term) < _CUSUM_SERIES_TOL:
             break
         k += 1
     return min(1.0, max(0.0, total))
-
-
-def cusum_reference_asymptote(z: float) -> float:
-    return 1.0 - 4.0 / (sqrt(2.0 * math.pi) * z) * math.exp(-z * z / 2.0)
 
 
 def cumulative_sums(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
@@ -426,16 +424,6 @@ def excursion_state_probs(x: int) -> np.ndarray:
         probs.append(1.0 / (4.0 * x * x) * p0 ** (k - 1))
     probs.append(1.0 / (2.0 * ax) * p0 ** 4)
     return np.asarray(probs)
-
-
-def excursion_cycle_counts(walk_with_zeros: np.ndarray, state: int) -> np.ndarray:
-    """nu_k (k = 0..5) for one state given the zero-padded walk."""
-    boundaries = np.flatnonzero(walk_with_zeros == 0)
-    j = boundaries.size - 1
-    hits = np.flatnonzero(walk_with_zeros == state)
-    cycle_of_hit = np.searchsorted(boundaries, hits, side="right") - 1
-    per_cycle = np.bincount(cycle_of_hit, minlength=j)
-    return np.bincount(np.clip(per_cycle, 0, 5), minlength=6)[:6]
 
 
 def random_excursions(block, alpha: float = DEFAULT_ALPHA) -> list[TestResult]:
@@ -475,34 +463,6 @@ def cross_correlation_random(block, rng_or_seed, alpha: float = DEFAULT_ALPHA) -
     stat = abs(dot) / sqrt(n)
     return TestResult("cross_correlation", {"n": n}, stat,
                       erfc_pvalue(stat, alpha), aux={"dot": dot})
-
-
-def autocorrelation(blocks, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-centered autocorrelation averaged over blocks; F(0) = 1."""
-    acc = None
-    count = 0
-    for block in blocks:
-        a = _signs(_as_bits(block), np.float64)
-        t = a.size
-        if t < 10 * max_lag:
-            raise ValueError(f"block length {t} must be >= 10 * max_lag")
-        c = a - a.mean()
-        denom = float(np.dot(c, c))
-        if denom == 0.0:
-            raise ValueError("a constant block has no autocorrelation")
-        nfft = 1 << int(np.ceil(np.log2(2 * t)))
-        full = np.fft.irfft(np.abs(np.fft.rfft(c, nfft)) ** 2)[:max_lag + 1]
-        gamma = full / denom
-        acc = gamma if acc is None else acc + gamma
-        count += 1
-    if count == 0:
-        raise ValueError("no blocks supplied")
-    return np.arange(max_lag + 1), acc / count
-
-
-def correlation_dft(f_series: np.ndarray) -> np.ndarray:
-    """Modulus of the DFT of the averaged correlation function."""
-    return np.abs(np.fft.fft(np.asarray(f_series, dtype=np.float64)))
 
 
 # -----------------------------------------------------------------------------
@@ -600,6 +560,9 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
     for name in selection:
         if name not in TESTS:
             raise ValueError(f"unknown test {name!r}")
+        # a repeat would count each block twice in the pass proportion
+        if selection.count(name) > 1:
+            raise ValueError(f"test {name!r} selected twice")
 
     def run_one(item):
         idx, (start, bits) = item

@@ -62,9 +62,6 @@ class CharacterTable:
     def chi(self, j: int) -> np.ndarray:
         return self.values[j]
 
-    def nonprincipal(self):
-        return [j for j in range(self.phi) if j != self.principal_index]
-
 
 def character_table(q: int) -> CharacterTable:
     if not is_prime(q):
@@ -121,12 +118,6 @@ def _verify_axioms(table: CharacterTable) -> None:
         raise AssertionError("character values are not phi(q)-th roots of unity")
 
 
-def gauss_sum(chi_row: np.ndarray, q: int) -> complex:
-    """G(chi) = sum_m chi(m) exp(2 pi i m / q)."""
-    m = np.arange(1, q)
-    return complex(np.sum(chi_row[m] * np.exp(2j * math.pi * m / q)))
-
-
 def generalized_mertens(chi_row: np.ndarray, x: int) -> complex:
     """Direct sum of mu(m) chi(m) over m <= x (no residue shortcut)."""
     if x < 1:
@@ -139,12 +130,6 @@ def generalized_mertens(chi_row: np.ndarray, x: int) -> complex:
     return complex(total)
 
 
-def _residue_sums(seg_lo: int, values: np.ndarray, q: int) -> np.ndarray:
-    """Sums of values[m - seg_lo] over each class m = r (mod q), r = 0..q-1."""
-    return np.array([values[(r - seg_lo) % q::q].sum(dtype=np.int64)
-                     for r in range(q)], dtype=np.int64)
-
-
 def residue_mertens(q: int, r: int, x: int) -> int:
     """Sum of mu(m) over m <= x with m congruent to r mod q."""
     if x < 1:
@@ -155,40 +140,6 @@ def residue_mertens(q: int, r: int, x: int) -> int:
     for seg_lo, seg_hi, mu in iter_mobius(1, x + 1):
         total += int(mu[(r - seg_lo) % q::q].sum(dtype=np.int64))
     return total
-
-
-def residue_mertens_profile(q: int, x: int, checkpoints) -> dict[int, np.ndarray]:
-    """M_r at several checkpoints in one pass: {x_c: array over r=0..q-1}."""
-    marks = sorted(set(int(c) for c in checkpoints))
-    if not marks or marks[0] < 1 or marks[-1] > x:
-        raise ValueError(f"checkpoints must lie in [1, {x}]")
-    acc = np.zeros(q, dtype=np.int64)
-    out: dict[int, np.ndarray] = {}
-    ci = 0
-    for seg_lo, seg_hi, mu in iter_mobius(1, marks[-1] + 1):
-        cut = 0
-        while ci < len(marks) and marks[ci] < seg_hi:
-            end = marks[ci] - seg_lo + 1
-            acc += _residue_sums(seg_lo + cut, mu[cut:end], q)
-            out[marks[ci]] = acc.copy()
-            cut = end
-            ci += 1
-        acc += _residue_sums(seg_lo + cut, mu[cut:], q)
-    return out
-
-
-def squarefree_in_progression(q: int, r: int, x_max: int) -> tuple[int, float]:
-    """Exact count of square-free m in [2, x_max] with m = r (mod q), plus
-    the density estimate.
-
-    The count starts at 2 (the unit is not a member of the square-free
-    progression proper, so the residue-1 class does not include it).
-    Coprime residues share (6/pi^2)(X/q) / (1 - 1/q^2); the r = 0 class
-    holds the 1/(q+1) fraction of all square-free numbers.
-    """
-    if not 0 <= r < q:
-        raise ValueError(f"residue must lie in [0, {q}), got {r}")
-    return int(_progression_counts(q, x_max)[r]), _density_estimate(q, r, x_max)
 
 
 def _progression_counts(q: int, x_max: int) -> np.ndarray:
@@ -226,6 +177,8 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
 
 
 def _density_estimate(q: int, r: int, x_max: int) -> float:
+    """The r = 0 class holds 1/(q+1) of the square-free numbers; coprime
+    classes share (6/pi^2)(x_max/q) / (1 - 1/q^2) each."""
     if r == 0:
         return (6.0 / math.pi ** 2) * x_max / (q + 1)
     return (6.0 / math.pi ** 2) * (x_max / q) / (1.0 - 1.0 / q ** 2)
@@ -244,32 +197,3 @@ def progression_table(q: int, x_max: int) -> list[tuple]:
         rows.append((r, count, est, abs(est - count) / count))
     return rows
 
-
-def aq_bound(q: int) -> float:
-    """A_q = ((q-1)/sqrt(q)) sqrt(prod_{p|q} (1 - 1/p^2)^-1) for prime q."""
-    if not is_prime(q):
-        raise UnsupportedModulusError(f"modulus {q} is not prime")
-    return (q - 1) / math.sqrt(q) * math.sqrt(1.0 / (1.0 - 1.0 / q ** 2))
-
-
-@dataclass(frozen=True)
-class AqDiagnostic:
-    q: int
-    a_q: float
-    checkpoints: tuple
-    max_ratio_per_char: dict  # j -> max over checkpoints of |M_chi(x)| / sqrt(x)
-    slack: float  # max ratio across characters divided by A_q
-
-
-def aq_bound_diagnostic(q: int, x_max: int, checkpoints) -> AqDiagnostic:
-    """Growth ratios |M_chi(x)|/sqrt(x) against the A_q scale (no verdict)."""
-    table = character_table(q)
-    profile = residue_mertens_profile(q, x_max, checkpoints)
-    ratios = {j: 0.0 for j in table.nonprincipal()}
-    for c, m_r in profile.items():
-        for j in table.nonprincipal():
-            m_chi = np.sum(table.chi(j)[np.arange(q)] * m_r)
-            ratios[j] = max(ratios[j], abs(m_chi) / math.sqrt(c))
-    a_q = aq_bound(q)
-    return AqDiagnostic(q, a_q, tuple(sorted(profile)), ratios,
-                        max(ratios.values()) / a_q)

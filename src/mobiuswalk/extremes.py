@@ -25,14 +25,10 @@ ARCSINE_MOMENTS = (1 / 2, 3 / 8, 5 / 16, 35 / 128, 63 / 256, 231 / 1024)
 _MORI_TERM_TOL = 1e-16
 _MORI_MAX_TERMS = 100_000
 
-
-@dataclass(frozen=True)
-class SegmentExtremes:
-    segment_start: int
-    T: int
-    t_min: int
-    t_max: int
-    tau: int  # t_max - t_min, signed
+_CHUNK_SEGMENTS = 2000  # segments whose walks are built at once
+_FIT_BINS = 50
+_FIT_MIN_SAMPLES = 1000
+_TAU_MAX_ORDER = 10
 
 
 def walk_extremes(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,22 +44,15 @@ def walk_extremes(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argmin(walks, axis=1), np.argmax(walks, axis=1)
 
 
-def segment_extremes(seq: BitSequence, segment_start: int, T: int) -> SegmentExtremes:
-    mu = seq.slice_mu(segment_start, T).astype(np.int64)
-    t_min, t_max = walk_extremes(mu[None, :])
-    return SegmentExtremes(segment_start, T, int(t_min[0]), int(t_max[0]),
-                           int(t_max[0]) - int(t_min[0]))
-
-
 def segment_extremes_batch(seq: BitSequence, start_ordinal: int, n_segments: int,
-                           T: int, chunk: int = 2000) -> tuple[np.ndarray, np.ndarray]:
+                           T: int) -> tuple[np.ndarray, np.ndarray]:
     """(t_min, t_max) arrays for n_segments back-to-back segments of length T."""
     if T < 1 or n_segments < 1:
         raise ValueError(f"need T >= 1 and n_segments >= 1, got T={T}, n_segments={n_segments}")
     t_min = np.empty(n_segments, dtype=np.int64)
     t_max = np.empty(n_segments, dtype=np.int64)
-    for i in range(0, n_segments, chunk):
-        m = min(chunk, n_segments - i)
+    for i in range(0, n_segments, _CHUNK_SEGMENTS):
+        m = min(_CHUNK_SEGMENTS, n_segments - i)
         mu = seq.slice_mu(start_ordinal + i * T, m * T).astype(np.int8)
         lo, hi = walk_extremes(mu.reshape(m, T))
         t_min[i:i + m] = lo
@@ -128,12 +117,12 @@ def tau_closed_moments() -> dict[int, float]:
     }
 
 
-@lru_cache(maxsize=32)
-def _mori_bin_probs(nbins: int) -> np.ndarray:
-    edges = np.linspace(-1.0, 1.0, nbins + 1)
+@lru_cache(maxsize=1)
+def _mori_bin_probs() -> np.ndarray:
+    edges = np.linspace(-1.0, 1.0, _FIT_BINS + 1)
     return np.array([quad(_mori_f_safe, edges[i], edges[i + 1],
                           epsabs=1e-10, limit=400)[0]
-                     for i in range(nbins)])
+                     for i in range(_FIT_BINS)])
 
 
 def _u_even(n: np.ndarray) -> np.ndarray:
@@ -181,8 +170,7 @@ def _binned_fit(obs: np.ndarray, probs: np.ndarray, sample_moments: tuple,
     return FitReport(chi2, dof, p, sample_moments, reference_moments, n)
 
 
-def arcsine_compare(samples, nbins: int = 50, T: int | None = None,
-                    min_samples: int = 1000) -> FitReport:
+def arcsine_compare(samples, T: int | None = None) -> FitReport:
     """Chi-square of t_min/T samples against the arcsine law.
 
     With T given the expected bin weights use the exact discrete law of the
@@ -191,38 +179,37 @@ def arcsine_compare(samples, nbins: int = 50, T: int | None = None,
     reported against the continuum values.
     """
     x = np.asarray(samples, dtype=np.float64)
-    if x.size < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {x.size}")
+    if x.size < _FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {_FIT_MIN_SAMPLES} samples, got {x.size}")
     if np.any((x < 0) | (x > 1)):
         raise ValueError("samples must lie in [0, 1]")
     if T is None:
-        edges = np.linspace(0.0, 1.0, nbins + 1)
+        edges = np.linspace(0.0, 1.0, _FIT_BINS + 1)
         cdf = (2.0 / pi) * np.arcsin(np.sqrt(edges))
         probs = np.diff(cdf)
     else:
         pmf = discrete_argmin_pmf(T)
-        idx = np.clip((np.arange(T + 1) / T * nbins).astype(np.int64), 0, nbins - 1)
-        probs = np.bincount(idx, weights=pmf, minlength=nbins)
-    obs = np.bincount(np.clip((x * nbins).astype(np.int64), 0, nbins - 1),
-                      minlength=nbins)
+        idx = np.clip((np.arange(T + 1) / T * _FIT_BINS).astype(np.int64), 0, _FIT_BINS - 1)
+        probs = np.bincount(idx, weights=pmf, minlength=_FIT_BINS)
+    obs = np.bincount(np.clip((x * _FIT_BINS).astype(np.int64), 0, _FIT_BINS - 1),
+                      minlength=_FIT_BINS)
     return _binned_fit(obs, probs, tuple(float(np.mean(x ** j)) for j in range(1, 7)),
                        ARCSINE_MOMENTS)
 
 
-def tau_compare(samples, nbins: int = 50, max_order: int = 10,
-                min_samples: int = 1000) -> FitReport:
+def tau_compare(samples) -> FitReport:
     """Chi-square of tau/T samples against the Mori scaling density."""
     x = np.asarray(samples, dtype=np.float64)
-    if x.size < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {x.size}")
+    if x.size < _FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {_FIT_MIN_SAMPLES} samples, got {x.size}")
     if np.any((x < -1) | (x > 1)):
         raise ValueError("samples must lie in [-1, 1]")
-    probs = _mori_bin_probs(nbins)
-    idx = np.clip(((x + 1.0) / 2.0 * nbins).astype(np.int64), 0, nbins - 1)
+    probs = _mori_bin_probs()
+    idx = np.clip(((x + 1.0) / 2.0 * _FIT_BINS).astype(np.int64), 0, _FIT_BINS - 1)
     ax = np.abs(x)
-    return _binned_fit(np.bincount(idx, minlength=nbins), probs,
-                       tuple(float(np.mean(ax ** j)) for j in range(1, max_order + 1)),
-                       tuple(v for _, v in tau_moment_table(max_order)))
+    return _binned_fit(np.bincount(idx, minlength=_FIT_BINS), probs,
+                       tuple(float(np.mean(ax ** j)) for j in range(1, _TAU_MAX_ORDER + 1)),
+                       tuple(v for _, v in tau_moment_table(_TAU_MAX_ORDER)))
 
 
 def histogram_rows(samples, nbins: int, domain: tuple[float, float],

@@ -1,4 +1,5 @@
-"""Restricted Mertens function, block-variable ensembles, and diagnostics.
+"""Restricted Mertens function, block-variable ensembles and their moments,
+and the partial-sum theorem.
 
 The single deterministic sequence is turned into a statistical ensemble by
 cutting many disjoint, well separated blocks of equal length; the block
@@ -14,6 +15,8 @@ from typing import Iterator
 import numpy as np
 
 from .seqgen import BitSequence, iter_mobius, nth_squarefree
+
+_PARTIAL_SUM_GUARD = 1e-12  # rounding slack of the float prefix sums of mu(m)/m
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,6 @@ def build_ensemble(l1: int, l2: int, n_blocks: int, block_len: int,
             f"packing infeasible: last block ends at {int(starts[-1]) + block_len}, "
             f"beyond bound {l2}")
     return Ensemble((l1, l2), block_len, starts.astype(np.int64), policy, seed)
-
-
-def block_variable(spec: BlockSpec, seq: BitSequence) -> int:
-    """Sum of the +-1 values over one block: 2 * popcount - length."""
-    bits = seq.slice_bits(spec.start_ordinal, spec.length)
-    return 2 * int(bits.sum(dtype=np.int64)) - spec.length
 
 
 def block_sums(ens: Ensemble, seq: BitSequence) -> np.ndarray:
@@ -179,77 +176,14 @@ def moment_estimates(ens: Ensemble, seq: BitSequence, max_order: int = 4) -> Mom
 
 
 @dataclass(frozen=True)
-class LilProfile:
-    ordinals: np.ndarray
-    ratios: np.ndarray
-    running_max: float
-
-
-def lil_profile(seq: BitSequence, n_max: int, stride: int = 1000) -> LilProfile:
-    """M-hat(n) / sqrt(2 n log log n) sampled every `stride` ordinals.
-
-    The running max is tracked at full resolution over n >= 16 (below
-    that the denominator is not defined).
-    """
-    if n_max < 16:
-        raise ValueError(f"n_max must be >= 16, got {n_max}")
-    if seq.start_ordinal != 1:
-        raise ValueError("profile must start at ordinal 1")
-    samples_n, samples_r = [], []
-    running_max = 0.0
-    carry = 0
-    chunk = 1 << 20
-    for lo in range(1, n_max + 1, chunk):
-        cnt = min(chunk, n_max + 1 - lo)
-        mu = seq.slice_mu(lo, cnt).astype(np.int64)
-        cum = carry + np.cumsum(mu)
-        carry = int(cum[-1])
-        ns = np.arange(lo, lo + cnt, dtype=np.float64)
-        valid = ns >= 16
-        denom = np.sqrt(2.0 * ns[valid] * np.log(np.log(ns[valid])))
-        ratios = np.abs(cum[valid]) / denom
-        if ratios.size:
-            running_max = max(running_max, float(ratios.max()))
-        take = np.nonzero((ns % stride == 0) & valid)[0]
-        samples_n.extend(ns[take].astype(np.int64))
-        samples_r.extend((np.abs(cum[take]) / np.sqrt(
-            2.0 * ns[take] * np.log(np.log(ns[take])))).tolist())
-    return LilProfile(np.array(samples_n), np.array(samples_r), running_max)
-
-
-def write_lil_csv(profile: LilProfile, path) -> None:
-    """Plot-ready (n, ratio) rows for the iterated-logarithm diagnostic."""
-    with open(path, "w") as fh:
-        fh.write("n,ratio\n")
-        for n, r in zip(profile.ordinals, profile.ratios):
-            fh.write(f"{int(n)},{r:.10g}\n")
-
-
-def write_z_csv(z_values, path) -> None:
-    """One standardized block variable per line, for histogram fitting."""
-    with open(path, "w") as fh:
-        fh.write("z\n")
-        for z in np.asarray(z_values, dtype=np.float64):
-            fh.write(f"{z:.10g}\n")
-
-
-def reference_random_walk(seed: int, n: int) -> np.ndarray:
-    """Cumulative fair +-1 walk R(0..n) with R(0) = 0, reproducible by seed."""
-    rng = np.random.default_rng(seed)
-    steps = rng.integers(0, 2, size=n, dtype=np.int8).astype(np.int64) * 2 - 1
-    return np.concatenate([[0], np.cumsum(steps)])
-
-
-@dataclass(frozen=True)
 class PartialSumReport:
     x_max: int
     max_abs_partial_sum: float
     bound_holds: bool
     mertens_over_x: list  # (x, M(x)/x) at decade checkpoints
-    guard: float
 
 
-def mean_and_partial_sum_checks(x_max: int, guard: float = 1e-12) -> PartialSumReport:
+def mean_and_partial_sum_checks(x_max: int) -> PartialSumReport:
     """Scan |sum_{m<=x} mu(m)/m| <= 1 for all x <= x_max (hard theorem) and
     report M(x)/x at decade checkpoints along the way."""
     if x_max < 1:
@@ -273,4 +207,4 @@ def mean_and_partial_sum_checks(x_max: int, guard: float = 1e-12) -> PartialSumR
             ratios.append((c, (mertens + int(cum_mu[c - seg_lo])) / c))
             ci += 1
         mertens += int(cum_mu[-1])
-    return PartialSumReport(x_max, max_abs, max_abs <= 1.0 + guard, ratios, guard)
+    return PartialSumReport(x_max, max_abs, max_abs <= 1.0 + _PARTIAL_SUM_GUARD, ratios)

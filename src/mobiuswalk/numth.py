@@ -29,51 +29,11 @@ _SERIES_TOL = 1e-12
 _MAX_OMEGA = 24  # omega = 24 first occurs at the 24th primorial, about 2.4e34
 
 
-def primorial(q: int) -> int:
-    """Product of the first q primes (arbitrary precision)."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    return math.prod(first_primes(q).tolist())
-
-
 @lru_cache(maxsize=None)
 def _primorials_upto(bound: int) -> tuple:
     # k primes multiply to at least 2^k, so bound.bit_length() primes suffice
     prods = accumulate(first_primes(bound.bit_length()).tolist(), operator.mul)
     return tuple(takewhile(lambda v: v <= bound, prods))
-
-
-def factor_squarefree(value: int) -> list[int]:
-    """Prime factors of a square-free integer; rejects squared factors."""
-    if value < 1:
-        raise ValueError(f"value must be >= 1, got {value}")
-    factors = []
-    x = value
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            x //= d
-            if x % d == 0:
-                raise ValueError(f"{value} is not square-free (divisible by {d}^2)")
-            factors.append(d)
-        d += 1 if d == 2 else 2
-    if x > 1:
-        factors.append(x)
-    return factors
-
-
-def omega(sqf_value: int) -> int:
-    """Number of distinct prime factors of a square-free integer."""
-    return len(factor_squarefree(sqf_value))
-
-
-def term_count(sqf_value: int) -> int:
-    """The unique eta with primorial(eta) <= value < primorial(eta+1)."""
-    if sqf_value < 2:
-        raise ValueError(f"value must be >= 2, got {sqf_value}")
-    factor_squarefree(sqf_value)  # raises on non-square-free input
-    prims = _primorials_upto(sqf_value)
-    return len(prims)
 
 
 @dataclass(frozen=True)
@@ -143,22 +103,6 @@ def li_squarefree(x: float) -> float:
     if x <= 2:
         return 0.0
     return float(expi(log(x + 1.0)) - expi(log(3.0)))
-
-
-def pi_sqf_exact(n: int) -> int:
-    """Exact number of primes among the first n square-free numbers: every
-    prime is square-free, so this is pi(sqf_n)."""
-    return prime_count(nth_squarefree(n))
-
-
-def pi_sqf_theoretical(n: int) -> float:
-    return li_squarefree(nth_squarefree(n))
-
-
-def divisor_probability_check(p: int, n: int) -> tuple[float, float]:
-    """(empirical, theoretical) probability that a square-free number is
-    divisible by the prime p; theoretical value is 1/(p+1)."""
-    return divisor_table((p,), n)[0][1:3]
 
 
 @dataclass(frozen=True)
@@ -238,6 +182,8 @@ class ClassCounts:
 
     counts[k] is N_k for k >= 1; counts[0] = 1 accounts for the unit,
     which carries mu = +1 and therefore joins the even (n_plus) side.
+    These classes carry the paper's Erdos-Kac law for square-free numbers;
+    `poisson_fit` is the check of that law beyond the mean and variance.
     """
 
     n: int
@@ -252,6 +198,7 @@ class ClassCounts:
 
 
 def class_counts(n: int) -> ClassCounts:
+    """The omega classes of the first n square-free numbers (Erdos-Kac)."""
     snap = scan_squarefree(n)[-1]
     q = len(_primorials_upto(snap.sqf_n)) if snap.sqf_n >= 2 else 0
     counts = snap.class_counts[:max(q + 1, int(np.max(np.nonzero(snap.class_counts)[0])) + 1)].copy()
@@ -262,6 +209,8 @@ def class_counts(n: int) -> ClassCounts:
 
 @dataclass(frozen=True)
 class PoissonFit:
+    """Chi-square of the omega classes against the shifted Poisson law (Erdos-Kac)."""
+
     chi2: float
     dof: int
     p_value: PValue
@@ -274,7 +223,9 @@ def poisson_fit(cc: ClassCounts, lam: float) -> PoissonFit:
     """Goodness of the shifted Poisson model P(k) = lam^(k-1) e^-lam/(k-1)!.
 
     Only categories with expected count >= 5 enter the chi-square; the
-    result is a report, not a hard verdict.
+    result is a report, not a hard verdict.  This is the check of the
+    paper's Erdos-Kac distribution: criterion 04 tests only the mean and
+    variance of omega.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -291,14 +242,6 @@ def poisson_fit(cc: ClassCounts, lam: float) -> PoissonFit:
     chi2 = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
     dof = max(1, len(ks) - 1)
     return PoissonFit(chi2, dof, chi2_pvalue(chi2, dof), tuple(ks), tuple(obs), tuple(exp))
-
-
-def erdos_kac_normalize(n: int, omega_value: int) -> float:
-    """Center and scale omega by the log log law."""
-    t = log(log(PI2_OVER_6 * n + 1.0))
-    if t <= 0:
-        raise ValueError(f"log log((pi^2/6)n+1) must be positive, got n={n}")
-    return (omega_value - t) / math.sqrt(t)
 
 
 def pi_table(ordinals) -> list[tuple]:

@@ -287,10 +287,15 @@ def test_entropy_statistic():
     assert res.p_value.value < 1e-10
 
 
+def cusum_reference_asymptote(z: float) -> float:
+    """Large-z tail of the cumulative-sums limit law G(z)."""
+    return 1.0 - 4.0 / (math.sqrt(2.0 * math.pi) * z) * math.exp(-z * z / 2.0)
+
+
 def test_cusum_reference():
     assert bt.cusum_reference_cdf(50.0) == 1.0
-    assert abs(bt.cusum_reference_cdf(4.0) - bt.cusum_reference_asymptote(4.0)) < 1e-4
-    assert abs(bt.cusum_reference_cdf(5.0) - bt.cusum_reference_asymptote(5.0)) < 1e-6
+    assert abs(bt.cusum_reference_cdf(4.0) - cusum_reference_asymptote(4.0)) < 1e-4
+    assert abs(bt.cusum_reference_cdf(5.0) - cusum_reference_asymptote(5.0)) < 1e-6
     res = bt.cumulative_sums(fair_bits(17, 10 ** 5))
     assert res.p_value.value > 1e-6
     with pytest.raises(ValueError):
@@ -305,17 +310,27 @@ def test_excursion_probs():
                        [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 32])
 
 
+def excursion_cycle_counts(walk_with_zeros: np.ndarray, state: int) -> np.ndarray:
+    """nu_k (k = 0..5) for one state given the zero-padded walk."""
+    boundaries = np.flatnonzero(walk_with_zeros == 0)
+    j = boundaries.size - 1
+    hits = np.flatnonzero(walk_with_zeros == state)
+    cycle_of_hit = np.searchsorted(boundaries, hits, side="right") - 1
+    per_cycle = np.bincount(cycle_of_hit, minlength=j)
+    return np.bincount(np.clip(per_cycle, 0, 5), minlength=6)[:6]
+
+
 def test_excursions_toy_cycles():
     # the three-cycle toy walk: (0,1,0), (0,-1,-2,-1,0), (0,1,2,1,2,0)
     bits = np.array([1, 0, 0, 0, 1, 1, 1, 1, 0, 1], dtype=np.uint8)
     walk = np.cumsum(2 * bits.astype(np.int64) - 1)
     padded = np.concatenate([[0], walk, [0]])
     assert int(np.count_nonzero(padded[1:] == 0)) == 3
-    assert bt.excursion_cycle_counts(padded, 1).tolist() == [1, 1, 1, 0, 0, 0]
-    assert bt.excursion_cycle_counts(padded, -1).tolist() == [2, 0, 1, 0, 0, 0]
-    assert bt.excursion_cycle_counts(padded, 2).tolist() == [2, 0, 1, 0, 0, 0]
-    assert bt.excursion_cycle_counts(padded, -2).tolist() == [2, 1, 0, 0, 0, 0]
-    assert bt.excursion_cycle_counts(padded, 3).tolist() == [3, 0, 0, 0, 0, 0]
+    assert excursion_cycle_counts(padded, 1).tolist() == [1, 1, 1, 0, 0, 0]
+    assert excursion_cycle_counts(padded, -1).tolist() == [2, 0, 1, 0, 0, 0]
+    assert excursion_cycle_counts(padded, 2).tolist() == [2, 0, 1, 0, 0, 0]
+    assert excursion_cycle_counts(padded, -2).tolist() == [2, 1, 0, 0, 0, 0]
+    assert excursion_cycle_counts(padded, 3).tolist() == [3, 0, 0, 0, 0, 0]
 
 
 def _balanced_chunks(seed, n_chunks, half):
@@ -336,7 +351,7 @@ def test_excursions_match_cycle_counts(tail):
     assert len(results) == 8
     for x, res in zip(bt.EXCURSION_STATES, results):
         assert res.params == {"state": x, "J": j}
-        assert res.aux["nu"] == bt.excursion_cycle_counts(padded, x).tolist()
+        assert res.aux["nu"] == excursion_cycle_counts(padded, x).tolist()
 
 
 def test_excursions_skip_and_run():
@@ -374,27 +389,6 @@ def test_cross_correlation_sqrt_growth():
             assert res.statistic <= 3.0 * 1.5  # c * sqrt growth with slack
 
 
-def test_autocorrelation():
-    blocks = [fair_bits(s, 20000) for s in range(20)]
-    lags, f = bt.autocorrelation(blocks, max_lag=2000)
-    assert f[0] == pytest.approx(1.0)
-    assert np.abs(f[1:]).max() < 0.05
-    var = float(np.var(f[1:]))
-    t = 20000
-    assert var < 2.0 / t / 20 * 5  # averaged blocks shrink the variance
-    spec = bt.correlation_dft(f)
-    assert spec.shape == (2001,)
-    assert abs(spec[0] - 1.0) < 0.2
-    # alternating block: closed form gamma(s) = (-1)^s (T - s)/T under the
-    # unnormalized-lag estimator
-    alt = np.tile([0, 1], 10000).astype(np.uint8)
-    _, g = bt.autocorrelation([alt], max_lag=10)
-    want = [(-1.0) ** s * (20000 - s) / 20000 for s in range(11)]
-    assert np.allclose(g, want, atol=1e-9)
-    with pytest.raises(ValueError):
-        bt.autocorrelation(blocks, max_lag=10 ** 4)
-
-
 def test_degenerate_inputs_rejected():
     empty = np.zeros(0, dtype=np.uint8)
     with pytest.raises(ValueError, match="needs at least"):
@@ -403,8 +397,6 @@ def test_degenerate_inputs_rejected():
         bt.cross_correlation_random(empty, 0)
     with pytest.raises(ValueError, match="k_test >= 1"):
         bt.maurer_statistic(fair_bits(1, 1000), 2, 4, 0)
-    with pytest.raises(ValueError, match="constant block"):
-        bt.autocorrelation([np.ones(1000, dtype=np.uint8)], max_lag=10)
     # an empty template is vacuously aperiodic and would count no hits
     with pytest.raises(ValueError, match="at least one bit"):
         bt.nonoverlapping_template(np.ones(10000, dtype=np.uint8),
@@ -421,6 +413,9 @@ def test_run_battery_counts_and_determinism():
     # an empty selection runs no test, so it is refused rather than passed
     with pytest.raises(ValueError, match="empty test selection"):
         bt.run_battery(ens, seq, selection=())
+    # a repeated test would count every block twice in its pass proportion
+    with pytest.raises(ValueError, match="'monobit' selected twice"):
+        bt.run_battery(ens, seq, selection=("monobit", "cumsum", "monobit"))
     # determinism including rng-bearing tests, independent of worker count
     r1 = bt.run_battery(ens, seq, selection=("monobit", "cross_correlation"),
                         seed=9, workers=1)

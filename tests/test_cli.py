@@ -130,6 +130,11 @@ def test_internal_errors_exit_2(tmp_path, capsys):
                     "--blocks", "2", "--block-len", "1000",
                     "--out", str(tmp_path / "rep.jsonl")]) == 2
         assert "empty test selection" in capsys.readouterr().err
+    # a repeated test must not count each block twice
+    assert run(["battery", "--seq", str(seq_path), "--tests", "monobit,monobit",
+                "--blocks", "3", "--block-len", "100",
+                "--out", str(tmp_path / "rep.jsonl")]) == 2
+    assert "'monobit' selected twice" in capsys.readouterr().err
     # segments of no steps have no extremes to fit
     for flag, value in (("--seg-len", "0"), ("--segments", "0")):
         assert run(["extremes", "--seq", str(seq_path), flag, value]) == 2

@@ -59,17 +59,23 @@ def test_character_table_budget():
     assert peak < 1 << 20
 
 
+def gauss_sum(chi_row: np.ndarray, q: int) -> complex:
+    """G(chi) = sum_m chi(m) exp(2 pi i m / q)."""
+    m = np.arange(1, q)
+    return complex(np.sum(chi_row[m] * np.exp(2j * math.pi * m / q)))
+
+
 def test_gauss_sums():
     table5 = dirichlet.character_table(5)
     # |G(chi)|^2 = q for every non-principal character of a prime modulus
-    for j in table5.nonprincipal():
-        assert abs(abs(dirichlet.gauss_sum(table5.chi(j), 5)) ** 2 - 5) < 1e-10
+    for j in range(1, table5.phi):
+        assert abs(abs(gauss_sum(table5.chi(j), 5)) ** 2 - 5) < 1e-10
     # principal character: geometric sum of all q-th roots minus one term
-    g1 = dirichlet.gauss_sum(table5.chi(table5.principal_index), 5)
+    g1 = gauss_sum(table5.chi(table5.principal_index), 5)
     assert abs(g1 - (-1)) < 1e-10
     table7 = dirichlet.character_table(7)
-    for j in table7.nonprincipal():
-        assert abs(abs(dirichlet.gauss_sum(table7.chi(j), 7)) ** 2 - 7) < 1e-10
+    for j in range(1, table7.phi):
+        assert abs(abs(gauss_sum(table7.chi(j), 7)) ** 2 - 7) < 1e-10
 
 
 def test_generalized_mertens_basics():
@@ -96,73 +102,25 @@ def test_residue_mertens_and_identity():
         assert abs(direct - decomposed) < 1e-9
 
 
-def test_residue_mertens_profile():
-    prof = dirichlet.residue_mertens_profile(7, 10 ** 4, (10, 500, 10 ** 4))
-    for c, arr in prof.items():
-        expect = [dirichlet.residue_mertens(7, r, c) for r in range(7)]
-        assert arr.tolist() == expect
-
-
-def test_residue_mertens_profile_at_segment_edge():
-    edge = seqgen.DEFAULT_SEGMENT  # the last integer of the first sieve segment
-    xs = (edge - 1, edge, edge + 1)
-    prof = dirichlet.residue_mertens_profile(3, edge + 1, xs)
-    for x in xs:
-        assert prof[x].tolist() == [dirichlet.residue_mertens(3, r, x) for r in range(3)]
-    # mu(edge) = 0, so only a cut below edge - 1 leaves a stretch to carry over
-    carried = dirichlet.residue_mertens_profile(3, edge + 1, (edge - 2, edge + 1))
-    assert carried[edge + 1].tolist() == prof[edge + 1].tolist()
-
-
-def test_residue_mertens_profile_stops_at_last_checkpoint(monkeypatch):
-    his = []
-
-    def recording(lo, hi):
-        his.append(hi)
-        return seqgen.iter_mobius(lo, hi)
-
-    monkeypatch.setattr(dirichlet, "iter_mobius", recording)
-    far = dirichlet.residue_mertens_profile(7, 2 * 10 ** 7, (10, 1000))
-    assert his == [1001]
-    near = dirichlet.residue_mertens_profile(7, 1000, (10, 1000))
-    assert {c: a.tolist() for c, a in far.items()} == {c: a.tolist() for c, a in near.items()}
-    with pytest.raises(ValueError):
-        dirichlet.residue_mertens_profile(7, 999, (10, 1000))
-
-
 def test_squarefree_in_progression_small():
     # square-free numbers in [2, 30]: residue classes mod 5 by enumeration
     win = seqgen.mobius_range(2, 31).values
     sqf = [m for m in range(2, 31) if win[m - 2] != 0]
-    for r in range(5):
-        want = sum(1 for m in sqf if m % 5 == r)
-        count, est = dirichlet.squarefree_in_progression(5, r, 30)
-        assert count == want
-    total = sum(dirichlet.squarefree_in_progression(5, r, 30)[0] for r in range(5))
+    rows = dirichlet.progression_table(5, 30)
+    assert [row[0] for row in rows] == list(range(5))
+    for r, count, _, _ in rows:
+        assert count == sum(1 for m in sqf if m % 5 == r)
+    total = sum(row[1] for row in rows)
     assert total == seqgen.squarefree_count(30) - 1  # the unit is not counted
 
 
 def test_progression_estimates():
-    count, est = dirichlet.squarefree_in_progression(7, 1, 10 ** 6)
+    rows = dirichlet.progression_table(7, 10 ** 6)
+    _, count, est, _ = rows[1]
     assert abs(est - count) / count < 1e-3
-    count0, est0 = dirichlet.squarefree_in_progression(7, 0, 10 ** 6)
+    _, count0, est0, _ = rows[0]
     assert abs(est0 - count0) / count0 < 1e-3
     assert est0 == pytest.approx(6 / math.pi ** 2 * 10 ** 6 / 8)
-
-
-def test_aq_bound_value():
-    assert dirichlet.aq_bound(5) == pytest.approx((4 / math.sqrt(5)) * math.sqrt(25 / 24))
-    assert dirichlet.aq_bound(5) == pytest.approx(1.8257, abs=1e-4)
-
-
-def test_aq_diagnostic():
-    diag = dirichlet.aq_bound_diagnostic(5, 10 ** 5, (1, 10, 10 ** 3, 10 ** 5))
-    assert diag.a_q == pytest.approx(dirichlet.aq_bound(5))
-    assert set(diag.max_ratio_per_char) == set(dirichlet.character_table(5).nonprincipal())
-    # |M_chi(1)| / 1 = 1 at the first checkpoint, so every max is >= 1
-    for ratio in diag.max_ratio_per_char.values():
-        assert 1.0 <= ratio < 10.0
-    assert diag.slack > 0
 
 
 def test_progression_table_rejects_empty_classes():
@@ -171,8 +129,4 @@ def test_progression_table_rejects_empty_classes():
         dirichlet.progression_table(11, 11)
     with pytest.raises(ValueError, match="x_max"):
         dirichlet.progression_table(11, 10)
-    count, est = dirichlet.squarefree_in_progression(11, 4, 11)
-    assert count == 0 and est > 0
-    rows = dirichlet.progression_table(5, 30)
-    assert [row[1] for row in rows] == [
-        dirichlet.squarefree_in_progression(5, r, 30)[0] for r in range(5)]
+    assert dirichlet._progression_counts(11, 11)[4] == 0

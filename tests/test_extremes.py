@@ -7,38 +7,43 @@ from scipy.integrate import quad
 from mobiuswalk import extremes, seqgen
 
 
-def test_segment_extremes_monotone_walks():
-    ones = seqgen.BitSequence.from_bits(1, np.ones(64, dtype=np.uint8))
-    ext = extremes.segment_extremes(ones, 1, 64)
-    assert ext.t_max == 64 and ext.t_min == 0 and ext.tau == 64
-    zeros = seqgen.BitSequence.from_bits(1, np.zeros(64, dtype=np.uint8))
-    ext = extremes.segment_extremes(zeros, 1, 64)
-    assert ext.t_max == 0 and ext.t_min == 64 and ext.tau == -64
+def first_attainment(bits) -> tuple[int, int]:
+    """(t_min, t_max): the first times the walk 0, s_1, ..., s_T of the
+    +-1 steps 2b - 1 reaches its minimum and its maximum."""
+    pos = low = high = t_min = t_max = 0
+    for t, b in enumerate(bits, 1):
+        pos += 1 if b else -1
+        if pos < low:
+            low, t_min = pos, t
+        if pos > high:
+            high, t_max = pos, t
+    return t_min, t_max
 
 
-def test_segment_extremes_toy_walk():
+# (bits, t_min, t_max) of one segment each
+FIXED_SEGMENTS = (
+    ([1] * 64, 0, 64),  # monotone walks
+    ([0] * 64, 64, 0),
     # walk 1,0,-1,-2,-1,0,1,2,1,2: min -2 first reached at step 4,
     # max 2 first reached at step 8
-    bits = np.array([1, 0, 0, 0, 1, 1, 1, 1, 0, 1], dtype=np.uint8)
-    seq = seqgen.BitSequence.from_bits(1, bits)
-    ext = extremes.segment_extremes(seq, 1, 10)
-    assert (ext.t_min, ext.t_max, ext.tau) == (4, 8, 4)
-
-
-def test_first_attainment_ties():
-    # walk 1,0,1,0: max 1 first at t=1; min 0 first at t=0
-    bits = np.array([1, 0, 1, 0], dtype=np.uint8)
-    seq = seqgen.BitSequence.from_bits(1, bits)
-    ext = extremes.segment_extremes(seq, 1, 4)
-    assert ext.t_max == 1 and ext.t_min == 0
+    ([1, 0, 0, 0, 1, 1, 1, 1, 0, 1], 4, 8),
+    # walk 1,0,1,0: max 1 first at t=1; min 0 first at t=0 (ties)
+    ([1, 0, 1, 0], 0, 1),
+)
 
 
 def test_batch_matches_single():
-    seq = seqgen.restricted_sequence(1, 6000)
-    t_min, t_max = extremes.segment_extremes_batch(seq, 1, 12, 500)
-    for i in range(12):
-        ext = extremes.segment_extremes(seq, 1 + 500 * i, 500)
-        assert t_min[i] == ext.t_min and t_max[i] == ext.t_max
+    for bits, want_min, want_max in FIXED_SEGMENTS:
+        assert first_attainment(bits) == (want_min, want_max)
+        seq = seqgen.BitSequence.from_bits(1, np.array(bits, dtype=np.uint8))
+        t_min, t_max = extremes.segment_extremes_batch(seq, 1, 1, len(bits))
+        assert (t_min.tolist(), t_max.tolist()) == ([want_min], [want_max])
+    # short segments across more than two chunks of the batch
+    T, n = 3, 2 * extremes._CHUNK_SEGMENTS + 501
+    seq = seqgen.restricted_sequence(1, n * T + 10)
+    t_min, t_max = extremes.segment_extremes_batch(seq, 6, n, T)
+    rows = seq.slice_bits(6, n * T).reshape(n, T)
+    assert list(zip(t_min.tolist(), t_max.tolist())) == [first_attainment(r) for r in rows]
 
 
 def test_mori_f_properties():

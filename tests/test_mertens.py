@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mobiuswalk import mertens, numth, seqgen
 
@@ -13,23 +14,27 @@ def test_mertens_restricted_small():
         assert mertens.mertens_restricted(n) == running[n - 1]
 
 
-def test_block_variable_additivity():
+def block_sum(seq, start: int, length: int) -> int:
+    """The block variable of [start, start + length) through `block_sums`."""
+    ens = mertens.build_ensemble(start, start + length, 1, length,
+                                 mertens.GapPolicy("fixed", 0))
+    return int(mertens.block_sums(ens, seq)[0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(s=st.integers(1, 3000), a=st.integers(1, 1000), b=st.integers(1, 1000))
+@example(s=100, a=400, b=500)
+@example(s=1, a=1000, b=2000)  # M-hat(3000)
+@example(s=2600, a=250, b=250)
+def test_block_sum_additivity(s, a, b):
     seq = seqgen.restricted_sequence(1, 5000)
-    b_full = mertens.block_variable(mertens.BlockSpec(100, 900), seq)
-    b_left = mertens.block_variable(mertens.BlockSpec(100, 400), seq)
-    b_right = mertens.block_variable(mertens.BlockSpec(500, 500), seq)
-    assert b_full == b_left + b_right
+    whole = block_sum(seq, s, a + b)
+    assert whole == block_sum(seq, s, a) + block_sum(seq, s + a, b)
+    # the same block from a fresh sieve started at the block itself
+    assert whole == block_sum(seqgen.restricted_sequence(s, a + b), s, a + b)
     # M-hat(n) equals the block sum starting at ordinal 1
-    assert mertens.block_variable(mertens.BlockSpec(1, 3000), seq) == \
-        mertens.mertens_restricted(3000)
-
-
-def test_block_translation_consistency():
-    # the stored-sequence value equals one recomputed from a fresh sieve
-    seq_all = seqgen.restricted_sequence(1, 4000)
-    seq_off = seqgen.restricted_sequence(2500, 800)
-    spec = mertens.BlockSpec(2600, 500)
-    assert mertens.block_variable(spec, seq_all) == mertens.block_variable(spec, seq_off)
+    n = s + a + b - 1
+    assert block_sum(seq, 1, n) == mertens.mertens_restricted(n)
 
 
 def test_alternating_class_identity():
@@ -87,32 +92,6 @@ def test_moment_estimates_on_fair_coin():
         mertens.moment_estimates(ens, seq, max_order=9)
 
 
-def test_lil_profile():
-    seq = seqgen.restricted_sequence(1, 20000)
-    prof = mertens.lil_profile(seq, 20000, stride=500)
-    assert prof.ordinals[0] == 500
-    assert prof.ordinals[-1] == 20000
-    assert 0.0 < prof.running_max < 1.5
-    assert np.all(prof.ratios <= prof.running_max + 1e-12)
-    with pytest.raises(ValueError):
-        mertens.lil_profile(seq, 8)
-
-
-def test_reference_random_walk():
-    r = mertens.reference_random_walk(9, 1000)
-    assert r[0] == 0
-    assert np.array_equal(r, mertens.reference_random_walk(9, 1000))
-    steps = np.diff(r)
-    assert set(np.unique(steps)) == {-1, 1}
-
-
-def test_reference_walk_variance():
-    # <R(n)^2> / n near 1 over many seeds
-    n = 10 ** 4
-    vals = [mertens.reference_random_walk(s, n)[-1] ** 2 / n for s in range(10 ** 4)]
-    assert 0.95 < np.mean(vals) < 1.05
-
-
 def test_partial_sum_bound():
     rep = mertens.mean_and_partial_sum_checks(10 ** 5)
     assert rep.bound_holds
@@ -122,15 +101,3 @@ def test_partial_sum_bound():
     # mean of mu vanishes slowly
     assert abs(dict(rep.mertens_over_x)[10 ** 5]) < 0.01
 
-
-def test_csv_emission_helpers(tmp_path):
-    seq = seqgen.restricted_sequence(1, 20000)
-    prof = mertens.lil_profile(seq, 20000, stride=1000)
-    lil_path = tmp_path / "lil.csv"
-    mertens.write_lil_csv(prof, lil_path)
-    lines = lil_path.read_text().strip().split("\n")
-    assert lines[0] == "n,ratio"
-    assert len(lines) == prof.ordinals.size + 1
-    z_path = tmp_path / "z.csv"
-    mertens.write_z_csv([0.5, -1.25, 2.0], z_path)
-    assert z_path.read_text().strip().split("\n") == ["z", "0.5", "-1.25", "2"]

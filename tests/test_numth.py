@@ -8,46 +8,6 @@ from scipy.integrate import quad
 from mobiuswalk import mertens, numth, seqgen
 
 
-def test_primorial_table():
-    assert numth.primorial(1) == 2
-    assert numth.primorial(2) == 6
-    assert numth.primorial(5) == 2310
-    assert numth.primorial(7) == 510510
-    assert numth.primorial(10) == 6469693230
-    assert numth.primorial(15) == 614889782588491410
-
-
-def test_term_count():
-    assert numth.term_count(2) == 1
-    assert numth.term_count(5) == 1
-    assert numth.term_count(6) == 2
-    assert numth.term_count(105) == 3  # 30 <= 105 < 210
-    assert numth.term_count(6469693230) == 10  # equality at the 10th primorial
-    with pytest.raises(ValueError):
-        numth.term_count(12)  # not square-free
-    with pytest.raises(ValueError):
-        numth.term_count(1)
-
-
-def test_term_count_monotone_and_steps():
-    prev = 1
-    values = [v for v in range(2, 2400) if seqgen.mobius_range(v, v + 1).values[0] != 0]
-    counts = [numth.term_count(v) for v in values]
-    assert all(a <= b for a, b in zip(counts, counts[1:]))
-    # increments happen exactly at primorials
-    jumps = [values[i + 1] for i in range(len(counts) - 1) if counts[i + 1] > counts[i]]
-    assert jumps == [6, 30, 210, 2310]
-
-
-def test_omega():
-    assert numth.omega(1) == 0
-    assert numth.omega(2) == 1
-    assert numth.omega(30) == 3
-    assert numth.omega(510510) == 7
-    with pytest.raises(ValueError):
-        numth.omega(4)
-
-
 def test_li_squarefree_against_quad():
     ref = quad(lambda t: 1 / math.log(t + 1), 2, 10 ** 5)[0]
     assert abs(numth.li_squarefree(10 ** 5) - ref) < 1e-5
@@ -55,7 +15,7 @@ def test_li_squarefree_against_quad():
 
 def test_pi_sqf_small():
     # primes among 1,2,3,5,6,7,10,11 are 2,3,5,7,11
-    assert numth.pi_sqf_exact(8) == 5
+    assert seqgen.prime_count(seqgen.nth_squarefree(8)) == 5
     snaps = numth.scan_squarefree(1000)
     assert snaps[-1].prime_count == sum(
         1 for v in (seqgen.nth_squarefree(k) for k in range(1, 1001))
@@ -63,16 +23,15 @@ def test_pi_sqf_small():
 
 
 def test_pi_sqf_table_row_1e6():
-    assert numth.pi_sqf_exact(10 ** 6) == 124281
-    assert abs(numth.pi_sqf_theoretical(10 ** 6) - 124419) <= 2
+    [(_, observed, theoretical, _)] = numth.pi_table([10 ** 6])
+    assert observed == 124281
+    assert abs(theoretical - 124419) <= 2
 
 
 def test_divisor_probability():
-    emp, theo = numth.divisor_probability_check(2, 3)
+    [(_, emp, theo, _)] = numth.divisor_table((2,), 3)
     assert emp == pytest.approx(1 / 3)  # one of {1, 2, 3} is even
     assert theo == pytest.approx(1 / 3)
-    with pytest.raises(ValueError):
-        numth.divisor_probability_check(4, 100)
     with pytest.raises(ValueError):
         numth.divisor_table((4,), 1000)
 
@@ -177,17 +136,6 @@ def test_poisson_limit_matches_prime_probability():
         ratios.append(math.exp(-lam) * math.log(math.pi ** 2 / 6 * n))
     assert all(2.7 < r < 2.9 for r in ratios)
     assert max(ratios) - min(ratios) < 1e-4  # drift only from the +1 inside loglog
-
-
-def test_erdos_kac_normalize():
-    n = 10 ** 6
-    t = math.log(math.log(math.pi ** 2 / 6 * n + 1))
-    assert numth.erdos_kac_normalize(n, round(t)) == pytest.approx(
-        (round(t) - t) / math.sqrt(t))
-    vals = [numth.erdos_kac_normalize(n, w) for w in range(1, 8)]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        numth.erdos_kac_normalize(0, 3)
 
 
 def test_erdos_kac_sample_moments():

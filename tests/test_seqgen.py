@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mobiuswalk import seqgen
 
@@ -191,6 +192,26 @@ def test_generate_sequence_file_matches_in_memory(tmp_path):
     ref = seqgen.restricted_sequence(5, 3000)
     assert np.array_equal(seq.bits, ref.bits)
     assert summary["ones"] == int(ref.slice_bits(5, 3000).sum())
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(start=st.integers(1, 10 ** 9), n=st.integers(1, 10 ** 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_sequence_file_roundtrip_property(tmp_path, start, n, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, size=n, dtype=np.uint8)
+    seq = seqgen.BitSequence.from_bits(start, bits)
+    path = tmp_path / "prop.msf"
+    seqgen.write_sequence(seq, path)
+    back = seqgen.read_sequence(path)
+    assert (back.start_ordinal, back.length) == (start, n)
+    assert np.array_equal(back.bits, seq.bits)
+    assert np.array_equal(back.slice_bits(start, n), bits)
+    assert int(back.bits[-1]) >> (n % 8 or 8) == 0  # pad bits are zero
+    # the streamed writer and the in-memory one give the same bytes
+    gen_path = tmp_path / "gen.msf"
+    seqgen.generate_sequence_file(gen_path, start, n)
+    seqgen.write_sequence(seqgen.restricted_sequence(start, n), path)
+    assert gen_path.read_bytes() == path.read_bytes()
 
 
 def test_slice_coverage_error():
