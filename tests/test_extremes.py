@@ -20,24 +20,33 @@ def first_attainment(bits) -> tuple[int, int]:
     return t_min, t_max
 
 
-# (bits, t_min, t_max) of one segment each
-FIXED_SEGMENTS = (
-    ([1] * 64, 0, 64),  # monotone walks
-    ([0] * 64, 64, 0),
+def one_segment(bits) -> tuple[int, int]:
+    """(t_min, t_max) of `bits` as the single segment of a batch, checked
+    against the plain-Python loop."""
+    seq = seqgen.BitSequence.from_bits(1, np.array(bits, dtype=np.uint8))
+    t_min, t_max = extremes.segment_extremes_batch(seq, 1, 1, len(bits))
+    got = (int(t_min[0]), int(t_max[0]))
+    assert got == first_attainment(bits)
+    return got
+
+
+def test_segment_extremes_monotone_walks():
+    assert one_segment([1] * 64) == (0, 64)
+    assert one_segment([0] * 64) == (64, 0)
+
+
+def test_segment_extremes_toy_walk():
     # walk 1,0,-1,-2,-1,0,1,2,1,2: min -2 first reached at step 4,
     # max 2 first reached at step 8
-    ([1, 0, 0, 0, 1, 1, 1, 1, 0, 1], 4, 8),
-    # walk 1,0,1,0: max 1 first at t=1; min 0 first at t=0 (ties)
-    ([1, 0, 1, 0], 0, 1),
-)
+    assert one_segment([1, 0, 0, 0, 1, 1, 1, 1, 0, 1]) == (4, 8)
+
+
+def test_first_attainment_ties():
+    # walk 1,0,1,0: max 1 first at t=1; min 0 first at t=0
+    assert one_segment([1, 0, 1, 0]) == (0, 1)
 
 
 def test_batch_matches_single():
-    for bits, want_min, want_max in FIXED_SEGMENTS:
-        assert first_attainment(bits) == (want_min, want_max)
-        seq = seqgen.BitSequence.from_bits(1, np.array(bits, dtype=np.uint8))
-        t_min, t_max = extremes.segment_extremes_batch(seq, 1, 1, len(bits))
-        assert (t_min.tolist(), t_max.tolist()) == ([want_min], [want_max])
     # short segments across more than two chunks of the batch
     T, n = 3, 2 * extremes._CHUNK_SEGMENTS + 501
     seq = seqgen.restricted_sequence(1, n * T + 10)

@@ -37,6 +37,20 @@ def test_block_sum_additivity(s, a, b):
     assert block_sum(seq, 1, n) == mertens.mertens_restricted(n)
 
 
+def test_block_variable_additivity():
+    seq = seqgen.restricted_sequence(1, 5000)
+    assert block_sum(seq, 100, 900) == block_sum(seq, 100, 400) + block_sum(seq, 500, 500)
+    # M-hat(n) equals the block sum starting at ordinal 1
+    assert block_sum(seq, 1, 3000) == mertens.mertens_restricted(3000)
+
+
+def test_block_translation_consistency():
+    # the stored-sequence value equals one recomputed from a fresh sieve
+    seq_all = seqgen.restricted_sequence(1, 4000)
+    seq_off = seqgen.restricted_sequence(2500, 800)
+    assert block_sum(seq_all, 2600, 500) == block_sum(seq_off, 2600, 500)
+
+
 def test_alternating_class_identity():
     snaps = numth.scan_squarefree(30000, checkpoints=(123, 4567, 30000))
     for snap in snaps:
