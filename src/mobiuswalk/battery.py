@@ -86,15 +86,16 @@ def _require(bits: np.ndarray, n_min: int, test: str) -> None:
 
 
 def _word_codes(words: np.ndarray) -> np.ndarray:
-    """Value of each row of an (n, m) bit array, first bit high.
+    """Value of each m-bit word along the last axis of a bit array, first bit high.
 
-    The codes use the narrowest unsigned dtype that holds m bits.
+    The codes use the narrowest unsigned dtype that holds m bits, and
+    Python ints (object dtype) above 64 bits.
     """
-    m = words.shape[1]
-    codes = np.zeros(words.shape[0], dtype=np.min_scalar_type((1 << m) - 1))
+    m = words.shape[-1]
+    codes = np.zeros(words.shape[:-1], dtype=np.min_scalar_type((1 << m) - 1))
     for j in range(m):
         codes <<= 1
-        codes |= words[:, j]
+        codes |= words[..., j]
     return codes
 
 
@@ -103,10 +104,10 @@ def monobit(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
     bits = _as_bits(block)
     _require(bits, 100, "monobit")
     n = bits.size
-    s = 2 * int(bits.sum(dtype=np.int64)) - n
-    v = abs(s) / sqrt(n)
+    ones = int(bits.sum(dtype=np.int64))
+    v = abs(2 * ones - n) / sqrt(n)
     return TestResult("monobit", {"n": n}, v, erfc_pvalue(v, alpha),
-                      aux={"ones": int(bits.sum()), "zeros": n - int(bits.sum())})
+                      aux={"ones": ones, "zeros": n - ones})
 
 
 def serial_frequency(block, m: int, alpha: float = DEFAULT_ALPHA) -> TestResult:
@@ -140,24 +141,17 @@ def oscillation(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
                       erfc_pvalue(abs(stat), alpha), aux={"V": v_count})
 
 
-def _longest_one_run(bits: np.ndarray) -> int:
-    padded = np.concatenate([[0], bits, [0]]).astype(np.int8)
-    d = np.diff(padded)
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    return int((ends - starts).max()) if starts.size else 0
-
-
 def longest_run_of_ones(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Longest 1-run classes over 49 sub-blocks of 128 bits."""
     bits = _as_bits(block)
     _require(bits, LONGEST_RUN_BITS, "longest_run")
-    bits = bits[:LONGEST_RUN_BITS]
-    n_sub = LONGEST_RUN_BITS // LONGEST_RUN_SUBLEN
-    counts = np.zeros(6, dtype=np.int64)
-    for j in range(n_sub):
-        run = _longest_one_run(bits[j * 128:(j + 1) * 128])
-        counts[min(max(run - 4, 0), 5)] += 1
+    subs = bits[:LONGEST_RUN_BITS].reshape(-1, LONGEST_RUN_SUBLEN)
+    n_sub = subs.shape[0]
+    # the run ending at position pos (1-based) is pos minus its last zero's position
+    pos = np.arange(1, LONGEST_RUN_SUBLEN + 1)
+    last_zero = np.maximum.accumulate(np.where(subs == 0, pos, 0), axis=1)
+    runs = (pos - last_zero).max(axis=1)
+    counts = np.bincount(np.clip(runs - 4, 0, 5), minlength=6)
     chi2, p = chi2_test(counts, n_sub * np.asarray(LONGEST_RUN_PROBS), 5, alpha)
     return TestResult("longest_run", {"n": LONGEST_RUN_BITS, "M": 128, "K": 5},
                       chi2, p, aux={"counts": counts.tolist()})
@@ -286,18 +280,10 @@ def nonoverlapping_template(block, template=DEFAULT_TEMPLATE, n_sub: int = 80,
     if sub_len <= m:
         raise ValueError(f"sub-block length {sub_len} must exceed template size {m}")
     _require(bits, n_sub * sub_len, "template")
-    w = np.empty(n_sub, dtype=np.int64)
-    for j in range(n_sub):
-        sub = bits[j * sub_len:(j + 1) * sub_len]
-        windows = sliding_window_view(sub, m)
-        hits = np.flatnonzero((windows == template).all(axis=1))
-        count = 0
-        cursor = -1
-        for h in hits:
-            if h >= cursor:
-                count += 1
-                cursor = h + m
-        w[j] = count
+    # an aperiodic template has no border, so its occurrences never overlap
+    # and sliding m on a hit skips no other hit: W_j counts matching windows
+    windows = sliding_window_view(bits[:n_sub * sub_len].reshape(n_sub, sub_len), m, axis=1)
+    w = np.count_nonzero(_word_codes(windows) == _word_codes(template), axis=1)
     mean = (sub_len - m + 1) / 2.0 ** m
     var = sub_len * (2.0 ** -m - (2 * m - 1) * 2.0 ** (-2 * m))
     chi2 = float(np.sum((w - mean) ** 2 / var))

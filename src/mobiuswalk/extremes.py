@@ -36,12 +36,16 @@ def walk_extremes(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The walk includes its starting point 0, so times range over 0..T.
     """
-    if steps.ndim != 2:
-        raise ValueError("steps must be 2-D (segments x T)")
-    walks = np.cumsum(steps, axis=1, dtype=np.int64)
-    zeros = np.zeros((steps.shape[0], 1), dtype=np.int64)
-    walks = np.concatenate([zeros, walks], axis=1)
-    return np.argmin(walks, axis=1), np.argmax(walks, axis=1)
+    if steps.ndim != 2 or steps.shape[1] == 0:
+        raise ValueError("steps must be 2-D (segments x T) with T >= 1")
+    # |s_t| <= t for +-1 steps, so int16 holds every walk shorter than 2**15
+    walks = np.cumsum(steps, axis=1, dtype=np.int16 if steps.shape[1] < 2 ** 15 else np.int64)
+    rows = np.arange(steps.shape[0])
+    lo = np.argmin(walks, axis=1)
+    hi = np.argmax(walks, axis=1)
+    # time 0 holds the walk's 0, so an extreme moves off it only when it is strict
+    return (np.where(walks[rows, lo] < 0, lo + 1, 0),
+            np.where(walks[rows, hi] > 0, hi + 1, 0))
 
 
 def segment_extremes_batch(seq: BitSequence, start_ordinal: int, n_segments: int,
@@ -53,7 +57,7 @@ def segment_extremes_batch(seq: BitSequence, start_ordinal: int, n_segments: int
     t_max = np.empty(n_segments, dtype=np.int64)
     for i in range(0, n_segments, _CHUNK_SEGMENTS):
         m = min(_CHUNK_SEGMENTS, n_segments - i)
-        mu = seq.slice_mu(start_ordinal + i * T, m * T).astype(np.int8)
+        mu = seq.slice_mu(start_ordinal + i * T, m * T)
         lo, hi = walk_extremes(mu.reshape(m, T))
         t_min[i:i + m] = lo
         t_max[i:i + m] = hi

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mobiuswalk import battery as bt
 from mobiuswalk import mertens, seqgen
@@ -69,6 +70,23 @@ def test_oscillation_mean_reference():
     assert within >= 297
 
 
+def _longest_one_run(bits: np.ndarray) -> int:
+    """The run-boundary scan longest_run_of_ones replaced, kept as its oracle."""
+    padded = np.concatenate([[0], bits, [0]]).astype(np.int8)
+    d = np.diff(padded)
+    starts = np.flatnonzero(d == 1)
+    ends = np.flatnonzero(d == -1)
+    return int((ends - starts).max()) if starts.size else 0
+
+
+def _longest_run_counts(bits: np.ndarray) -> list[int]:
+    counts = [0] * 6
+    for j in range(bt.LONGEST_RUN_BITS // bt.LONGEST_RUN_SUBLEN):
+        run = _longest_one_run(bits[j * 128:(j + 1) * 128])
+        counts[min(max(run - 4, 0), 5)] += 1
+    return counts
+
+
 def test_longest_run():
     probs = np.array(bt.LONGEST_RUN_PROBS)
     assert abs(probs.sum() - 1.0) < 1e-4
@@ -76,10 +94,20 @@ def test_longest_run():
     res = bt.longest_run_of_ones(bits)
     assert res.p_value.value > 1e-6
     assert sum(res.aux["counts"]) == 49
-    assert bt._longest_one_run(np.ones(128, dtype=np.uint8)) == 128
-    assert bt._longest_one_run(np.zeros(128, dtype=np.uint8)) == 0
+    assert _longest_one_run(np.ones(128, dtype=np.uint8)) == 128
+    assert _longest_one_run(np.zeros(128, dtype=np.uint8)) == 0
+    ones = np.ones(bt.LONGEST_RUN_BITS, dtype=np.uint8)
+    assert bt.longest_run_of_ones(ones).aux["counts"] == [0, 0, 0, 0, 0, 49]
+    assert bt.longest_run_of_ones(1 - ones).aux["counts"] == [49, 0, 0, 0, 0, 0]
     with pytest.raises(ValueError):
         bt.longest_run_of_ones(np.ones(100, dtype=np.uint8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(0.0, 1.0), extra=st.integers(0, 200), seed=st.integers(0, 2 ** 32 - 1))
+def test_longest_run_matches_loop(p, extra, seed):
+    bits = (np.random.default_rng(seed).random(bt.LONGEST_RUN_BITS + extra) < p).astype(np.uint8)
+    assert bt.longest_run_of_ones(bits).aux["counts"] == _longest_run_counts(bits)
 
 
 def test_gf2_rank():
@@ -192,6 +220,62 @@ def test_template_zero_occurrences():
     assert res.statistic == pytest.approx(1 / 0.46875)
     # W_j equal to the mean gives chi2 = 0 (mean must be integral)
     bits = np.zeros(2 ** 5 * 31 + 100, dtype=np.uint8)
+
+
+def _greedy_template_counts(bits, template, n_sub, sub_len) -> list[int]:
+    """The greedy scan nonoverlapping_template replaced, kept as its oracle:
+    slide 1 bit on a miss and m bits on a hit."""
+    m = template.size
+    w = []
+    for j in range(n_sub):
+        sub = bits[j * sub_len:(j + 1) * sub_len]
+        windows = sliding_window_view(sub, m)
+        hits = np.flatnonzero((windows == template).all(axis=1))
+        count = 0
+        cursor = -1
+        for h in hits:
+            if h >= cursor:
+                count += 1
+                cursor = h + m
+        w.append(count)
+    return w
+
+
+def _aperiodic_template(rng, m):
+    while True:
+        template = rng.integers(0, 2, m, dtype=np.uint8)
+        if bt.is_aperiodic(template):
+            return template
+
+
+def _planted_block(rng, template, n_sub, sub_len, p):
+    """Bits with bias p, with the template written over a few random places."""
+    bits = (rng.random(n_sub * sub_len + 7) < p).astype(np.uint8)
+    for at in rng.integers(0, bits.size - template.size + 1, size=3 * n_sub):
+        bits[at:at + template.size] = template
+    return bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 12), n_sub=st.integers(1, 8), extra=st.integers(1, 200),
+       p=st.sampled_from([0.5, 0.2, 0.8, 0.05]), seed=st.integers(0, 2 ** 32 - 1))
+def test_template_matches_greedy_loop(m, n_sub, extra, p, seed):
+    rng = np.random.default_rng(seed)
+    template = _aperiodic_template(rng, m)
+    sub_len = m + extra
+    bits = _planted_block(rng, template, n_sub, sub_len, p)
+    res = bt.nonoverlapping_template(bits, template, n_sub, sub_len)
+    assert res.aux["W"] == _greedy_template_counts(bits, template, n_sub, sub_len)
+
+
+def test_template_longer_than_64_bits():
+    # 70-bit codes leave the unsigned dtypes for Python ints
+    rng = np.random.default_rng(70)
+    template = _aperiodic_template(rng, 70)
+    bits = _planted_block(rng, template, 4, 300, 0.5)
+    res = bt.nonoverlapping_template(bits, template, 4, 300)
+    assert res.aux["W"] == _greedy_template_counts(bits, template, 4, 300)
+    assert sum(res.aux["W"]) > 0
 
 
 def test_template_periodic_rejected():
@@ -424,6 +508,23 @@ def test_run_battery_counts_and_determinism():
     s1 = [(r.test_name, r.statistic) for _, _, r in r1.block_results]
     s2 = [(r.test_name, r.statistic) for _, _, r in r2.block_results]
     assert s1 == s2
+
+
+@settings(max_examples=20, deadline=None)
+@given(lengths=st.lists(st.integers(100, 3000), min_size=1, max_size=4),
+       others=st.lists(st.sampled_from([n for n in bt.TESTS if n != "cross_correlation"]),
+                       unique=True, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_battery_bytes_independent_of_workers(lengths, others, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [(i, rng.integers(0, 2, n, dtype=np.uint8)) for i, n in enumerate(lengths)]
+    selection = ["cross_correlation", *others]
+    reports = []
+    for workers in (1, 2):
+        buf = io.StringIO()
+        bt.run_battery_on_blocks(blocks, selection, seed=seed, workers=workers).write_jsonl(buf)
+        reports.append(buf.getvalue())
+    assert reports[0] == reports[1]
 
 
 def test_run_battery_skips_short_blocks():

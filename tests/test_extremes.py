@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mobiuswalk import extremes, seqgen
@@ -53,6 +55,31 @@ def test_batch_matches_single():
     t_min, t_max = extremes.segment_extremes_batch(seq, 6, n, T)
     rows = seq.slice_bits(6, n * T).reshape(n, T)
     assert list(zip(t_min.tolist(), t_max.tolist())) == [first_attainment(r) for r in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(segments=st.integers(1, 6),
+       T=st.one_of(st.integers(1, 300), st.sampled_from([2 ** 15 - 1, 2 ** 15, 2 ** 15 + 3])),
+       p=st.sampled_from([0.5, 0.3, 0.7, 0.0, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_walk_extremes_match_loop(segments, T, p, seed):
+    bits = (np.random.default_rng(seed).random((segments, T)) < p).astype(np.int8)
+    t_min, t_max = extremes.walk_extremes(2 * bits - 1)
+    assert list(zip(t_min.tolist(), t_max.tolist())) == [first_attainment(r) for r in bits]
+
+
+def test_walk_extremes_past_int16():
+    # all-up and all-down walks reach +-(2**15) and beyond; an int16 walk would wrap
+    for T in (2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 40000):
+        steps = np.ones((2, T), dtype=np.int8)
+        steps[1] = -1
+        t_min, t_max = extremes.walk_extremes(steps)
+        assert t_min.tolist() == [0, T] and t_max.tolist() == [T, 0]
+    # a walk that climbs past 32767, falls back below 0 and climbs again
+    steps = np.concatenate([np.ones(33000), -np.ones(33010), np.ones(20)]).astype(np.int8)
+    t_min, t_max = extremes.walk_extremes(steps[None, :])
+    assert (int(t_min[0]), int(t_max[0])) == (66010, 33000)
+    with pytest.raises(ValueError, match="T >= 1"):
+        extremes.walk_extremes(np.zeros((3, 0), dtype=np.int8))
 
 
 def test_mori_f_properties():
