@@ -4,16 +4,16 @@ from .seqgen import (BitSequence, MobiusWindow, SequenceFormatError,
                      generate_sequence_file, mobius_range, nth_squarefree,
                      read_sequence, restricted_sequence, squarefree_count,
                      write_sequence)
-from .statcore import (PValue, chi2_pvalue, chi2_test, erfc_pvalue,
-                       incomplete_gamma_q, proportion_check,
-                       proportion_interval, pvalue_uniformity)
+from .statcore import (chi2_pvalue, chi2_test, erfc_pvalue, incomplete_gamma_q,
+                       passes, proportion_check, proportion_interval,
+                       pvalue_uniformity)
 
 __all__ = [
     "BitSequence", "MobiusWindow", "SequenceFormatError",
     "generate_sequence_file", "mobius_range", "nth_squarefree",
     "read_sequence", "restricted_sequence", "squarefree_count",
     "write_sequence",
-    "PValue", "chi2_pvalue", "chi2_test", "erfc_pvalue", "incomplete_gamma_q",
+    "chi2_pvalue", "chi2_test", "erfc_pvalue", "incomplete_gamma_q", "passes",
     "proportion_check", "proportion_interval", "pvalue_uniformity",
 ]
 

@@ -22,9 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .mertens import Ensemble
 from .seqgen import BitSequence
-from .statcore import (DEFAULT_ALPHA, UNIFORMITY_MIN_SIZE, PValue, chi2_pvalue,
-                       chi2_test, erfc_pvalue, proportion_check,
-                       pvalue_uniformity)
+from .statcore import (DEFAULT_ALPHA, UNIFORMITY_MIN_SIZE, chi2_pvalue, chi2_test,
+                       erfc_pvalue, passes, proportion_check, pvalue_uniformity)
 
 LONGEST_RUN_BITS = 6272
 LONGEST_RUN_SUBLEN = 128
@@ -49,7 +48,7 @@ class TestResult:
     test_name: str
     params: dict
     statistic: float | None
-    p_value: PValue | None
+    p_value: float | None
     aux: dict | None = None
     skipped: str | None = None
 
@@ -80,9 +79,13 @@ def _walk(bits: np.ndarray) -> np.ndarray:
                      dtype=np.int32 if bits.size < 2 ** 31 else np.int64)
 
 
+class ShortBlock(ValueError):
+    """A block holds fewer bits than the test's minimum length."""
+
+
 def _require(bits: np.ndarray, n_min: int, test: str) -> None:
     if bits.size < n_min:
-        raise ValueError(f"{test} needs at least {n_min} bits, got {bits.size}")
+        raise ShortBlock(f"{test} needs at least {n_min} bits, got {bits.size}")
 
 
 def _word_codes(words: np.ndarray) -> np.ndarray:
@@ -99,18 +102,18 @@ def _word_codes(words: np.ndarray) -> np.ndarray:
     return codes
 
 
-def monobit(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def monobit(block) -> TestResult:
     """Balance of ones and zeros: v = |sum of +-1| / sqrt(n)."""
     bits = _as_bits(block)
     _require(bits, 100, "monobit")
     n = bits.size
     ones = int(bits.sum(dtype=np.int64))
     v = abs(2 * ones - n) / sqrt(n)
-    return TestResult("monobit", {"n": n}, v, erfc_pvalue(v, alpha),
+    return TestResult("monobit", {"n": n}, v, erfc_pvalue(v),
                       aux={"ones": ones, "zeros": n - ones})
 
 
-def serial_frequency(block, m: int, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def serial_frequency(block, m: int) -> TestResult:
     """Multinomial chi-square of non-overlapping m-bit patterns."""
     if m not in (2, 3, 4, 5):
         raise ValueError(f"m must be in 2..5, got {m}")
@@ -123,10 +126,10 @@ def serial_frequency(block, m: int, alpha: float = DEFAULT_ALPHA) -> TestResult:
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
     dof = 2 ** m - 1
     return TestResult(f"serial_m{m}", {"m": m, "tuples": n_tuples},
-                      chi2, chi2_pvalue(chi2, dof, alpha))
+                      chi2, chi2_pvalue(chi2, dof))
 
 
-def oscillation(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def oscillation(block) -> TestResult:
     """Number of kinks V = 1 + #transitions against 2 L rho (1 - rho)."""
     bits = _as_bits(block)
     _require(bits, 100, "oscillation")
@@ -138,10 +141,10 @@ def oscillation(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
     v_count = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
     stat = (v_count - 2.0 * n * rho * (1.0 - rho)) / (2.0 * rho * (1.0 - rho) * sqrt(n))
     return TestResult("oscillation", {"n": n}, stat,
-                      erfc_pvalue(abs(stat), alpha), aux={"V": v_count})
+                      erfc_pvalue(abs(stat)), aux={"V": v_count})
 
 
-def longest_run_of_ones(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def longest_run_of_ones(block) -> TestResult:
     """Longest 1-run classes over 49 sub-blocks of 128 bits."""
     bits = _as_bits(block)
     _require(bits, LONGEST_RUN_BITS, "longest_run")
@@ -152,7 +155,7 @@ def longest_run_of_ones(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
     last_zero = np.maximum.accumulate(np.where(subs == 0, pos, 0), axis=1)
     runs = (pos - last_zero).max(axis=1)
     counts = np.bincount(np.clip(runs - 4, 0, 5), minlength=6)
-    chi2, p = chi2_test(counts, n_sub * np.asarray(LONGEST_RUN_PROBS), 5, alpha)
+    chi2, p = chi2_test(counts, n_sub * np.asarray(LONGEST_RUN_PROBS), 5)
     return TestResult("longest_run", {"n": LONGEST_RUN_BITS, "M": 128, "K": 5},
                       chi2, p, aux={"counts": counts.tolist()})
 
@@ -217,7 +220,7 @@ def matrix_rank_probability_exact(h: int, r: int) -> Fraction:
     return prob
 
 
-def matrix_rank(block, h: int = 32, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def matrix_rank(block, h: int = 32) -> TestResult:
     """Rank classes (h, h-1, lower) of disjoint h x h binary matrices."""
     # h = 1 has no "rest" class (rank below h - 1), so its chi-square is undefined
     if not 2 <= h <= 64:
@@ -236,7 +239,7 @@ def matrix_rank(block, h: int = 32, alpha: float = DEFAULT_ALPHA) -> TestResult:
     p_one = matrix_rank_probability(h, h - 1)
     c_rest = n_mats - c_full - c_one
     chi2, p = chi2_test([c_full, c_one, c_rest],
-                        n_mats * np.array([p_full, p_one, 1.0 - p_full - p_one]), 2, alpha)
+                        n_mats * np.array([p_full, p_one, 1.0 - p_full - p_one]), 2)
     return TestResult("matrix_rank", {"H": h, "matrices": n_mats}, chi2, p,
                       aux={"full": c_full, "minus_one": c_one, "rest": c_rest})
 
@@ -245,7 +248,7 @@ def spectral_threshold(n: int) -> float:
     return sqrt(log(1.0 / 0.05) * n)
 
 
-def spectral_dft(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def spectral_dft(block) -> TestResult:
     """Fraction of DFT peaks below the 95% threshold."""
     bits = _as_bits(block)
     _require(bits, 1000, "spectral")
@@ -258,7 +261,7 @@ def spectral_dft(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
     ne = int(np.count_nonzero(mods < threshold))
     d = (ne - n0) / sqrt(n * 0.95 * 0.05 / 4.0)
     return TestResult("spectral", {"n": n, "threshold": threshold}, d,
-                      erfc_pvalue(abs(d), alpha), aux={"below": ne})
+                      erfc_pvalue(abs(d)), aux={"below": ne})
 
 
 def is_aperiodic(template: np.ndarray) -> bool:
@@ -268,7 +271,7 @@ def is_aperiodic(template: np.ndarray) -> bool:
 
 
 def nonoverlapping_template(block, template=DEFAULT_TEMPLATE, n_sub: int = 80,
-                            sub_len: int = 80, alpha: float = DEFAULT_ALPHA) -> TestResult:
+                            sub_len: int = 80) -> TestResult:
     """Occurrences of an aperiodic pattern, sliding 1 on miss and m on hit."""
     template = _as_bits(template)
     if template.size == 0:
@@ -289,7 +292,7 @@ def nonoverlapping_template(block, template=DEFAULT_TEMPLATE, n_sub: int = 80,
     chi2 = float(np.sum((w - mean) ** 2 / var))
     return TestResult("template", {"m": m, "N": n_sub, "L": sub_len,
                                    "B": "".join(map(str, template.tolist()))},
-                      chi2, chi2_pvalue(chi2, n_sub, alpha),
+                      chi2, chi2_pvalue(chi2, n_sub),
                       aux={"W": w.tolist(), "mean": mean, "var": var})
 
 
@@ -324,13 +327,12 @@ def maurer_statistic(block, m_bits: int, q_init: int, k_test: int) -> tuple[floa
     return total / k_test, table
 
 
-def maurer_universal(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def maurer_universal(block) -> TestResult:
     """Compressibility statistic at the standard (M, Q, K) working point."""
     f_n, _ = maurer_statistic(block, MAURER_M, MAURER_Q, MAURER_K)
     stat = abs(f_n - MAURER_MEAN) / (sqrt(2.0) * MAURER_SIGMA)
-    p = PValue(erfc(stat), alpha)
     return TestResult("maurer", {"M": MAURER_M, "Q": MAURER_Q, "K": MAURER_K},
-                      f_n, p)
+                      f_n, erfc(stat))
 
 
 def _phi(counts: np.ndarray, n: int) -> float:
@@ -349,7 +351,7 @@ def entropy_phi(block, m: int) -> float:
     return _phi(np.bincount(vals, minlength=2 ** m), n)
 
 
-def approximate_entropy(block, m: int = 4, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def approximate_entropy(block, m: int = 4) -> TestResult:
     """Entropy gap of overlapping m- vs (m+1)-bit pattern frequencies."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -364,7 +366,7 @@ def approximate_entropy(block, m: int = 4, alpha: float = DEFAULT_ALPHA) -> Test
     phi_m1 = _phi(counts_m1, n)
     chi2 = 2.0 * n * (log(2.0) - (phi_m - phi_m1))
     return TestResult("entropy", {"m": m, "n": n}, chi2,
-                      chi2_pvalue(chi2, 2 ** m, alpha),
+                      chi2_pvalue(chi2, 2 ** m),
                       aux={"phi_m": phi_m, "phi_m1": phi_m1,
                            "apen": phi_m - phi_m1})
 
@@ -386,7 +388,7 @@ def cusum_reference_cdf(z: float) -> float:
     return min(1.0, max(0.0, total))
 
 
-def cumulative_sums(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def cumulative_sums(block) -> TestResult:
     """Maximal absolute excursion of the partial-sum walk."""
     bits = _as_bits(block)
     _require(bits, 100, "cumsum")
@@ -395,7 +397,7 @@ def cumulative_sums(block, alpha: float = DEFAULT_ALPHA) -> TestResult:
     t = max(int(walk.max()), -int(walk.min()))
     z = t / sqrt(n)
     return TestResult("cumsum", {"n": n}, z,
-                      PValue(1.0 - cusum_reference_cdf(z), alpha),
+                      1.0 - cusum_reference_cdf(z),
                       aux={"max_excursion": t})
 
 
@@ -412,7 +414,7 @@ def excursion_state_probs(x: int) -> np.ndarray:
     return np.asarray(probs)
 
 
-def random_excursions(block, alpha: float = DEFAULT_ALPHA) -> list[TestResult]:
+def random_excursions(block) -> list[TestResult]:
     """Visit-count tests of the walk states +-1..+-4 over zero-crossing cycles."""
     bits = _as_bits(block)
     _require(bits, 1000, "excursions")
@@ -430,13 +432,13 @@ def random_excursions(block, alpha: float = DEFAULT_ALPHA) -> list[TestResult]:
     results = []
     for x in EXCURSION_STATES:
         nu = np.bincount(np.minimum(visits[:, x + 4], 5), minlength=6)
-        chi2, p = chi2_test(nu, j * excursion_state_probs(x), 5, alpha)
+        chi2, p = chi2_test(nu, j * excursion_state_probs(x), 5)
         results.append(TestResult(f"excursions[{x:+d}]", {"state": x, "J": j},
                                   chi2, p, aux={"nu": nu.tolist()}))
     return results
 
 
-def cross_correlation_random(block, rng_or_seed, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def cross_correlation_random(block, rng_or_seed) -> TestResult:
     """Dot product with a seeded fair +-1 sequence, scaled by sqrt(n)."""
     bits = _as_bits(block)
     _require(bits, 100, "cross_correlation")
@@ -448,35 +450,32 @@ def cross_correlation_random(block, rng_or_seed, alpha: float = DEFAULT_ALPHA) -
     dot = n - 2 * int(np.count_nonzero(bits != ref))
     stat = abs(dot) / sqrt(n)
     return TestResult("cross_correlation", {"n": n}, stat,
-                      erfc_pvalue(stat, alpha), aux={"dot": dot})
+                      erfc_pvalue(stat), aux={"dot": dot})
 
 
 # -----------------------------------------------------------------------------
 # Battery orchestration
 
-# name -> (minimum block length, runner(bits, alpha, seed, block_index)).
-# Runners look each test function up when called, so a test rebound on
-# this module (by a profiler, say) is the one that runs.
+# name -> runner(bits, seed, block_index) returning the test's rows; a
+# block below the test's minimum length raises ShortBlock.  Runners look
+# each test function up when called, so a test rebound on this module (by
+# a profiler, say) is the one that runs.
 TESTS = {
-    "monobit": (100, lambda b, a, s, i: [monobit(b, a)]),
-    **{f"serial_m{m}": (5 * (2 ** m) * m,
-                        lambda b, a, s, i, m=m: [serial_frequency(b, m, a)])
-       for m in (2, 3, 4, 5)},
-    "oscillation": (100, lambda b, a, s, i: [oscillation(b, a)]),
-    "longest_run": (LONGEST_RUN_BITS, lambda b, a, s, i: [longest_run_of_ones(b, a)]),
-    "matrix_rank": (38 * 32 * 32, lambda b, a, s, i: [matrix_rank(b, 32, a)]),
-    "spectral": (1000, lambda b, a, s, i: [spectral_dft(b[:b.size - b.size % 2], a)]),
-    "template": (80 * 1024, lambda b, a, s, i: [
-        nonoverlapping_template(b, DEFAULT_TEMPLATE, 80, 1024, a)]),
-    "maurer": (MAURER_M * (MAURER_Q + MAURER_K),
-               lambda b, a, s, i: [maurer_universal(b, a)]),
-    "entropy": (2 ** (4 + 5), lambda b, a, s, i: [approximate_entropy(b, 4, a)]),
-    "cumsum": (100, lambda b, a, s, i: [cumulative_sums(b, a)]),
-    "excursions": (1000, lambda b, a, s, i: random_excursions(b, a)),
+    "monobit": lambda b, s, i: [monobit(b)],
+    **{f"serial_m{m}": lambda b, s, i, m=m: [serial_frequency(b, m)] for m in (2, 3, 4, 5)},
+    "oscillation": lambda b, s, i: [oscillation(b)],
+    "longest_run": lambda b, s, i: [longest_run_of_ones(b)],
+    "matrix_rank": lambda b, s, i: [matrix_rank(b, 32)],
+    "spectral": lambda b, s, i: [spectral_dft(b[:b.size - b.size % 2])],
+    "template": lambda b, s, i: [nonoverlapping_template(b, DEFAULT_TEMPLATE, 80, 1024)],
+    "maurer": lambda b, s, i: [maurer_universal(b)],
+    "entropy": lambda b, s, i: [approximate_entropy(b, 4)],
+    "cumsum": lambda b, s, i: [cumulative_sums(b)],
+    "excursions": lambda b, s, i: random_excursions(b),
     # namespaced substream so reference bits never collide with
     # generator streams keyed by the same (seed, index)
-    "cross_correlation": (100, lambda b, a, s, i: [
-        cross_correlation_random(b, np.random.default_rng((s, i, 2)), a)]),
+    "cross_correlation": lambda b, s, i: [
+        cross_correlation_random(b, np.random.default_rng((s, i, 2)))],
 }
 
 DEFAULT_SELECTION = tuple(TESTS)
@@ -498,7 +497,7 @@ class BatteryReport:
 
     def aggregate(self) -> None:
         for name, results in self.per_test().items():
-            pvals = [res.p_value.value for res in results]
+            pvals = [res.p_value for res in results]
             self.proportions[name] = proportion_check(pvals, self.alpha)
             self.uniformity[name] = (pvalue_uniformity(pvals)
                                      if len(pvals) >= UNIFORMITY_MIN_SIZE else None)
@@ -514,8 +513,8 @@ class BatteryReport:
             if res.skipped is not None:
                 row["skipped"] = res.skipped
             else:
-                row.update(statistic=res.statistic, p_value=res.p_value.value,
-                           **{"pass": res.p_value.passed})
+                row.update(statistic=res.statistic, p_value=res.p_value,
+                           **{"pass": passes(res.p_value, self.alpha)})
             fh.write(json.dumps(row, sort_keys=True) + "\n")
         summary = {}
         for name, prop in sorted(self.proportions.items()):
@@ -539,6 +538,8 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
     Tests whose minimum length exceeds a block are recorded as skipped.
     Results are deterministic for fixed seed regardless of worker count.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
     blocks = list(blocks)
     selection = list(selection)
     if not selection:
@@ -555,12 +556,11 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
         bits = _as_bits(bits)
         out = []
         for name in selection:
-            if bits.size < TESTS[name][0]:
-                out.append((start, bits.size, TestResult(
-                    name, {}, None, None, skipped="insufficient length")))
-                continue
-            for res in TESTS[name][1](bits, alpha, seed, idx):
-                out.append((start, bits.size, res))
+            try:
+                results = TESTS[name](bits, seed, idx)
+            except ShortBlock:
+                results = [TestResult(name, {}, None, None, skipped="insufficient length")]
+            out.extend((start, bits.size, res) for res in results)
         return out
 
     report = BatteryReport(alpha=alpha)

@@ -8,10 +8,10 @@ Exit codes: 0 success (and statistical pass), 1 statistical fail,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -109,16 +109,8 @@ def _table_rows(args):
 
 def cmd_tables(args) -> int:
     header, rows = _table_rows(args)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.10g}" if isinstance(v, float) else v
-                             for v in row])
-    finally:
-        if args.out:
-            out.close()
+    _write_csv(args.out, header, ([f"{v:.10g}" if isinstance(v, float) else v
+                                   for v in row] for row in rows))
     return 0
 
 
@@ -141,8 +133,8 @@ def cmd_extremes(args) -> int:
     tau = (t_max - t_min) / args.seg_len
     arc = extremes.arcsine_compare(x, T=args.seg_len)
     tfit = extremes.tau_compare(tau)
-    print(f"arcsine: chi2={arc.chi2:.2f} dof={arc.dof} P={arc.p_value.value:.4f}")
-    print(f"tau:     chi2={tfit.chi2:.2f} dof={tfit.dof} P={tfit.p_value.value:.4f}")
+    print(f"arcsine: chi2={arc.chi2:.2f} dof={arc.dof} P={arc.p_value:.4f}")
+    print(f"tau:     chi2={tfit.chi2:.2f} dof={tfit.dof} P={tfit.p_value:.4f}")
     print("sample <|tau|/T> =", f"{tfit.sample_moments[0]:.4f}",
           "(theory 0.5908)")
     if args.out:
@@ -150,15 +142,16 @@ def cmd_extremes(args) -> int:
         rows = extremes.histogram_rows(x, 50, (0.0, 1.0),
                                        lambda v: 1.0 / (np.pi * np.sqrt(v * (1 - v)))
                                        if 0 < v < 1 else 0.0)
-        _write_csv(Path(args.out + "_arcsine.csv"), header, rows)
+        _write_csv(args.out + "_arcsine.csv", header, rows)
         rows = extremes.histogram_rows(tau, 50, (-1.0, 1.0),
                                        lambda v: extremes._mori_f_safe(v))
-        _write_csv(Path(args.out + "_tau.csv"), header, rows)
+        _write_csv(args.out + "_tau.csv", header, rows)
     return 0
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    """Write header and rows as CSV to path, or to stdout when path is None."""
+    with (open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -64,13 +64,14 @@ class CharacterTable:
 
 
 def character_table(q: int) -> CharacterTable:
+    phi = q - 1
+    # the budget check is O(1); is_prime sieves up to sqrt(q)
+    if q > 1 and phi * q > MAX_WINDOW:
+        raise SegmentBudgetError(
+            f"character table of {phi} x {q} values exceeds budget {MAX_WINDOW}")
     if not is_prime(q):
         raise UnsupportedModulusError(
             f"modulus {q} is not prime; only prime moduli are supported")
-    phi = q - 1
-    if phi * q > MAX_WINDOW:
-        raise SegmentBudgetError(
-            f"character table of {phi} x {q} values exceeds budget {MAX_WINDOW}")
     g = smallest_primitive_root(q)
     dlog = np.zeros(q, dtype=np.int64)
     acc = 1
@@ -151,10 +152,11 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
     class a times, and the last b add mu(d) to the classes j d^2, j = 1..b:
     about 2 sqrt(x_max q) scattered entries in all.
     """
-    if not is_prime(q):
-        raise UnsupportedModulusError(f"modulus {q} is not prime")
+    # the O(1) check first: is_prime sieves up to sqrt(q)
     if x_max < q:
         raise ValueError(f"x_max must be >= q, got {x_max}")
+    if not is_prime(q):
+        raise UnsupportedModulusError(f"modulus {q} is not prime")
     d, mu, quotients = squarefree_terms(x_max)
     unit = (d % q != 0) & (mu != 0)
     mu_u = mu[unit]

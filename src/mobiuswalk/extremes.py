@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, zeta
 
 from .seqgen import BitSequence
-from .statcore import PValue, chi2_test
+from .statcore import chi2_test
 
 ARCSINE_MOMENTS = (1 / 2, 3 / 8, 5 / 16, 35 / 128, 63 / 256, 231 / 1024)
 
@@ -157,7 +157,7 @@ def discrete_argmin_pmf(T: int) -> np.ndarray:
 class FitReport:
     chi2: float
     dof: int
-    p_value: PValue
+    p_value: float
     sample_moments: tuple
     reference_moments: tuple
     n_samples: int

@@ -39,11 +39,8 @@ class GapPolicy:
 
 @dataclass(frozen=True)
 class Ensemble:
-    bounds: tuple
     block_length: int
     starts: np.ndarray
-    policy: GapPolicy
-    seed: int | None
 
     @property
     def n_blocks(self) -> int:
@@ -89,7 +86,7 @@ def build_ensemble(l1: int, l2: int, n_blocks: int, block_len: int,
         raise ValueError(
             f"packing infeasible: last block ends at {int(starts[-1]) + block_len}, "
             f"beyond bound {l2}")
-    return Ensemble((l1, l2), block_len, starts.astype(np.int64), policy, seed)
+    return Ensemble(block_len, starts.astype(np.int64))
 
 
 def block_sums(ens: Ensemble, seq: BitSequence) -> np.ndarray:

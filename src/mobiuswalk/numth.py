@@ -23,7 +23,7 @@ from scipy.special import expi, zeta
 
 from .seqgen import (PI2_OVER_6, first_primes, iter_mobius, mobius_range,
                      nth_squarefree, prime_count, squarefree_multiples)
-from .statcore import PValue, chi2_pvalue
+from .statcore import chi2_pvalue
 
 _SERIES_TOL = 1e-12
 _MAX_OMEGA = 24  # omega = 24 first occurs at the 24th primorial, about 2.4e34
@@ -213,7 +213,7 @@ class PoissonFit:
 
     chi2: float
     dof: int
-    p_value: PValue
+    p_value: float
     ks: tuple
     observed: tuple
     expected: tuple

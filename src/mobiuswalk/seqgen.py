@@ -219,8 +219,11 @@ def squarefree_multiples(p: int, x: int) -> int:
     the same count at x // p, i.e. sum_{j>=1} (-1)^(j-1) Q(x // p^j)."""
     if x < 1 or not is_prime(p):
         raise ValueError(f"need x >= 1 and p prime, got x={x}, p={p}")
-    y = x // p
-    return squarefree_count(y) - squarefree_multiples(p, y) if y else 0
+    total, sign, y = 0, 1, x // p
+    while y:
+        total += sign * squarefree_count(y)
+        sign, y = -sign, y // p
+    return total
 
 
 def nth_squarefree(n: int) -> int:

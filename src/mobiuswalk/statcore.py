@@ -10,7 +10,7 @@ so the whole decision chain is self-contained and auditable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,26 +21,9 @@ _GAMMA_EPS = 1e-15
 _GAMMA_MAX_ITER = 10_000
 
 
-@dataclass(frozen=True)
-class PValue:
-    """A P-value with its significance level and pass verdict.
-
-    ``passed`` is True iff value >= alpha (a boundary P-value counts as
-    a pass).
-    """
-
-    value: float
-    alpha: float = DEFAULT_ALPHA
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        object.__setattr__(self, "value", min(1.0, max(0.0, self.value)))
-        object.__setattr__(self, "passed", self.value >= self.alpha)
-
-    def __float__(self):
-        return self.value
+def passes(p_value: float, alpha: float) -> bool:
+    """A P-value passes at significance level alpha iff it is >= alpha."""
+    return p_value >= alpha
 
 
 @dataclass(frozen=True)
@@ -115,29 +98,28 @@ def incomplete_gamma_q(a: float, z: float) -> float:
     return min(1.0, max(0.0, q))
 
 
-def chi2_pvalue(chi2: float, dof: int, alpha: float = DEFAULT_ALPHA) -> PValue:
+def chi2_pvalue(chi2: float, dof: int) -> float:
     """Tail probability of a chi-square statistic: Q(dof/2, chi2/2)."""
     if chi2 < 0:
         raise ValueError(f"chi2 must be non-negative, got {chi2}")
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
-    return PValue(incomplete_gamma_q(dof / 2.0, chi2 / 2.0), alpha)
+    return incomplete_gamma_q(dof / 2.0, chi2 / 2.0)
 
 
-def chi2_test(observed, expected, dof: int,
-              alpha: float = DEFAULT_ALPHA) -> tuple[float, PValue]:
+def chi2_test(observed, expected, dof: int) -> tuple[float, float]:
     """Pearson statistic sum (o - e)^2 / e over bins, with its tail on dof."""
     o = np.asarray(observed, dtype=np.float64)
     e = np.asarray(expected, dtype=np.float64)
     chi2 = float(np.sum((o - e) ** 2 / e))
-    return chi2, chi2_pvalue(chi2, dof, alpha)
+    return chi2, chi2_pvalue(chi2, dof)
 
 
-def erfc_pvalue(v: float, alpha: float = DEFAULT_ALPHA) -> PValue:
+def erfc_pvalue(v: float) -> float:
     """Two-sided normal tail: erfc(v / sqrt(2)) for v = |statistic|."""
-    if v < 0:
+    if not v >= 0:  # also refuses NaN
         raise ValueError(f"v must be non-negative (pass |statistic|), got {v}")
-    return PValue(math.erfc(v / math.sqrt(2.0)), alpha)
+    return math.erfc(v / math.sqrt(2.0))
 
 
 def proportion_interval(alpha: float, n: int) -> ProportionInterval:
@@ -166,7 +148,7 @@ def proportion_check(pvalues, alpha: float = DEFAULT_ALPHA) -> ProportionReport:
     values = [float(p) for p in pvalues]
     n = len(values)
     interval = proportion_interval(alpha, n)  # rejects an empty list
-    return ProportionReport(n, sum(v >= alpha for v in values) / n, interval)
+    return ProportionReport(n, sum(passes(v, alpha) for v in values) / n, interval)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Each hash was recorded on the code before the refactor that added it
 (the battery and residue hashes before the duplicate removal, the pi,
 omega and divisor table hashes before the divisor tally left the scan,
 the uniformity report hash before the chi-square tails were unified, the
-`gen` file hashes before the sieve traded division for log sums)
+`gen` file hashes before the sieve traded division for log sums, the
+alpha = 0.05 report and `extremes` hashes before the significance level
+left the P-value type and the CSV writers were merged)
 and pins behaviour for later performance work: a faster path that changes
 any JSONL, CSV or MSF byte fails here.
 """
@@ -20,12 +22,22 @@ from mobiuswalk import battery, cli
 BATTERY_SHA256 = "f03eab5ae3baa1643761dd0a42e3004b09615a26241dadc3679dd94fabb43102"
 # 60 blocks reach UNIFORMITY_MIN_SIZE, so the summary carries uniformity_pbar
 UNIFORMITY_SHA256 = "f6f32cad5c86b686a8cf21f9ec9074995a5aad2faf1cee4628378566676288f3"
+# the same 60-block shape at alpha = 0.05: every row's "pass" and the
+# proportion intervals follow the report's alpha
+BATTERY_ALPHA05_SHA256 = "88e15698eac324eb118ad31d31192d2bc81baae9ed47db45f4b0d0fac00defbd"
 RESIDUE_SHA256 = "76ef77551bcdac3b63e4449f3f277faf54a46d13ff6d753f2fc898240ed06067"
 # `tables --which <name> --n 1e6`
 TABLE_SHA256 = {
     "pi": "d707a71cb4ffa55d2d375509e94477b67585378beeea2bcc42153d4df6814b5b",
     "omega": "8dffa84e13d71ff7567db0eb1d0cad59caefcf849212709c887e676e30804b53",
     "divisor": "caa6919067d40b38ea3b74864a97ac1476653f84560d4cb252652d7e27cbfce5",
+}
+
+# `extremes --segments 1000 --seg-len 1000 --out x` on `gen --count 1100000`
+EXTREMES_SHA256 = {
+    "stdout": "a63db096596fa3049578a3de684c3b5851281243c5f9dc646a55071cc5f2a96f",
+    "x_arcsine.csv": "23314bb4306c422a4a9a68af9f2f3c8008818954a6b4f7eaed010fef66c9c37d",
+    "x_tau.csv": "08d46b5e572de5f6d86cd202b762279f1e65fff3a1df44970598eaccc35eb97c",
 }
 
 # `gen --start S --count N`
@@ -57,6 +69,31 @@ def test_uniformity_report_bytes():
     summary = json.loads(buf.getvalue().splitlines()[-1])["summary"]
     assert summary["monobit"]["uniformity_pbar"] is not None
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == UNIFORMITY_SHA256
+
+
+def test_alpha05_report_bytes():
+    blocks = list(battery.fair_coin_blocks(2027, 60, 100_000))
+    report = battery.run_battery_on_blocks(blocks, seed=7, alpha=0.05, workers=2)
+    buf = io.StringIO()
+    report.write_jsonl(buf)
+    rows = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert rows[-1]["summary"]["monobit"]["uniformity_pbar"] is not None
+    assert any(row.get("test") == "maurer" and row.get("skipped") for row in rows)
+    # some rows pass at 0.05 that would also pass at 0.01, some do not
+    assert any(0.01 <= row.get("p_value", 1.0) < 0.05 for row in rows[:-1])
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == BATTERY_ALPHA05_SHA256
+
+
+def test_extremes_output_bytes(tmp_path, capsys):
+    seq = tmp_path / "s.msf"
+    assert cli.main(["gen", "--count", "1100000", "--out", str(seq)]) == 0
+    capsys.readouterr()
+    assert cli.main(["extremes", "--seq", str(seq), "--segments", "1000",
+                     "--seg-len", "1000", "--out", str(tmp_path / "x")]) == 0
+    got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for name in ("x_arcsine.csv", "x_tau.csv"):
+        got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert got == EXTREMES_SHA256
 
 
 def test_residue_table_bytes(tmp_path):

@@ -109,6 +109,16 @@ def test_extremes_undersized(tmp_path):
     assert code == 2
 
 
+def test_large_modulus_refused_before_primality(tmp_path, capsys, monkeypatch):
+    # x < q is known at once; proving q prime would first sieve to sqrt(q) = 1e8
+    monkeypatch.setattr(seqgen, "_prime_cache", {})
+    assert run(["tables", "--which", "residue", "--q", "10000000000000061",
+                "--x", "5e7", "--out", str(tmp_path / "res.csv")]) == 2
+    assert "x_max must be >= q" in capsys.readouterr().err
+    assert seqgen._prime_cache.get("limit", 0) <= 10 ** 4
+    assert not (tmp_path / "res.csv").exists()
+
+
 def test_usage_error():
     assert run(["bogus-subcommand"]) == 2
 
@@ -155,3 +165,10 @@ def test_internal_errors_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "rep.jsonl")]) == 2
     assert "no selected test ran" in capsys.readouterr().err
     assert not (tmp_path / "rep.jsonl").exists()
+    # a significance level outside (0, 1) makes every verdict meaningless
+    for alpha in ("0", "1"):
+        assert run(["battery", "--seq", str(seq_path), "--tests", "monobit",
+                    "--blocks", "2", "--block-len", "100", "--alpha", alpha,
+                    "--out", str(tmp_path / "rep.jsonl")]) == 2
+        assert "alpha must be in (0,1)" in capsys.readouterr().err
+        assert not (tmp_path / "rep.jsonl").exists()

@@ -44,7 +44,7 @@ def test_composite_modulus_rejected():
         dirichlet.character_table(8)
 
 
-def test_character_table_budget():
+def test_character_table_budget(monkeypatch):
     # the least prime whose (q - 1) x q table exceeds the window budget; the
     # table would take 1 GiB, and it must be refused before any of it exists
     q = next(q for q in range(math.isqrt(seqgen.MAX_WINDOW), 2 * math.isqrt(seqgen.MAX_WINDOW))
@@ -57,6 +57,11 @@ def test_character_table_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    # a prime far past the budget is refused without sieving to its root
+    monkeypatch.setattr(seqgen, "_prime_cache", {})
+    with pytest.raises(seqgen.SegmentBudgetError):
+        dirichlet.character_table(10000000000000061)
+    assert seqgen._prime_cache.get("limit", 0) <= 10 ** 4
 
 
 def gauss_sum(chi_row: np.ndarray, q: int) -> complex:

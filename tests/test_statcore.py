@@ -45,12 +45,12 @@ def test_incomplete_gamma_domain():
 
 
 def test_chi2_pvalue():
-    assert statcore.chi2_pvalue(0.0, 5).value == 1.0
+    assert statcore.chi2_pvalue(0.0, 5) == 1.0
     # at the mean of the distribution the tail is mid-range
     for dof in (1, 2, 8, 16, 64):
-        p = statcore.chi2_pvalue(float(dof), dof).value
+        p = statcore.chi2_pvalue(float(dof), dof)
         assert 0.3 < p < 0.6
-    assert abs(statcore.chi2_pvalue(4.26667, 2).value - 0.118442) < 1e-5
+    assert abs(statcore.chi2_pvalue(4.26667, 2) - 0.118442) < 1e-5
     with pytest.raises(ValueError):
         statcore.chi2_pvalue(-1.0, 2)
     with pytest.raises(ValueError):
@@ -58,20 +58,24 @@ def test_chi2_pvalue():
 
 
 def test_erfc_pvalue():
-    assert statcore.erfc_pvalue(0.0).value == 1.0
-    assert round(statcore.erfc_pvalue(0.98).value, 2) == 0.33
-    assert round(statcore.erfc_pvalue(0.80).value, 2) == 0.42
+    assert statcore.erfc_pvalue(0.0) == 1.0
+    assert round(statcore.erfc_pvalue(0.98), 2) == 0.33
+    assert round(statcore.erfc_pvalue(0.80), 2) == 0.42
     # complement identity
     for v in (0.1, 0.7, 1.3, 2.9):
-        assert abs(statcore.erfc_pvalue(v).value + math.erf(v / math.sqrt(2)) - 1.0) < 1e-10
+        assert abs(statcore.erfc_pvalue(v) + math.erf(v / math.sqrt(2)) - 1.0) < 1e-10
     with pytest.raises(ValueError):
         statcore.erfc_pvalue(-0.2)
+    # a NaN statistic is no evidence against randomness, and no P-value
+    with pytest.raises(ValueError):
+        statcore.erfc_pvalue(float("nan"))
 
 
 def test_pvalue_pass_boundary():
-    assert statcore.PValue(0.01, alpha=0.01).passed
-    assert not statcore.PValue(0.0099, alpha=0.01).passed
-    assert statcore.PValue(1.0 + 1e-13).value == 1.0
+    assert statcore.passes(0.01, 0.01)
+    assert not statcore.passes(0.0099, 0.01)
+    # the proportion counts a boundary P-value as a pass, as each row does
+    assert statcore.proportion_check([0.01, 0.0099], alpha=0.01).proportion == 0.5
 
 
 def test_proportion_interval():
@@ -101,10 +105,10 @@ def test_proportion_check():
 def test_chi2_test():
     chi2, p = statcore.chi2_test([30, 10], [20.0, 20.0], 1)
     assert chi2 == 10.0
-    assert p.value == statcore.chi2_pvalue(10.0, 1).value
-    assert not p.passed
+    assert p == statcore.chi2_pvalue(10.0, 1)
+    assert not statcore.passes(p, 0.01)
     chi2, p = statcore.chi2_test(np.array([5, 5, 5]), np.array([5.0, 5.0, 5.0]), 2)
-    assert chi2 == 0.0 and p.value == 1.0
+    assert chi2 == 0.0 and p == 1.0
     with pytest.raises(ValueError):
         statcore.chi2_test([1, 2], [1.5, 1.5], 0)
 
