@@ -59,7 +59,18 @@ class _Tally:
     def add(self, mu: np.ndarray, om: np.ndarray) -> None:
         """Count a stretch of consecutive integers with these mu and omega."""
         self.mertens += int(mu.sum(dtype=np.int64))
-        self.class_counts += np.bincount(om[mu != 0], minlength=_MAX_OMEGA)
+        # No boolean-mask gather: each integer gets one byte, its omega if
+        # square-free and omega + _MAX_OMEGA, a dropped bin, if not (omega
+        # <= 16).  bincount takes the bytes in pairs as uint16, so it widens
+        # half as many entries, and the row and column sums of the pair
+        # histogram count both bytes.  An odd stretch pads a dropped byte.
+        n = mu.size
+        key = np.full(n + n % 2, _MAX_OMEGA, dtype=np.uint8)
+        np.multiply(mu == 0, _MAX_OMEGA, out=key[:n], casting="unsafe")
+        key[:n] += om
+        pairs = np.bincount(key.view(np.uint16), minlength=2 * _MAX_OMEGA << 8)
+        pairs = pairs.reshape(2 * _MAX_OMEGA, 256)
+        self.class_counts += pairs[:_MAX_OMEGA].sum(1) + pairs[:, :_MAX_OMEGA].sum(0)
 
     def snapshot(self, n: int, sqf_n: int) -> SqfSnapshot:
         cc, k = self.class_counts, np.arange(_MAX_OMEGA, dtype=np.int64)

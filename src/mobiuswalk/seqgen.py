@@ -10,7 +10,11 @@ floor(16 log2 p), and multiples of p^2 are marked.  A square-free entry
 whose log sum falls well short of its own log has one prime factor >
 sqrt(hi) left over (Helfgott, Math. Comp. 89 (2020)).  Primes that hit the
 window often are strided slices; the rest, and their squares, are
-scattered in one vectorised pass, so a narrow window is cheap.
+scattered in one vectorised pass, so a narrow window is cheap.  mu is
+assembled by arithmetic and square-free entries are taken with
+`np.compress`, because a store or a gather through a boolean mask
+branches on each entry of a mask that is random to the CPU and cost
+about as much as the strided primes.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ MAX_WINDOW = 1 << 26
 _STRIDE_HITS = 64
 _MIN_SCATTER = 32  # fewer steps than this are cheaper strided than scattered
 _SCATTER_STEPS = (1 << 20) // _STRIDE_HITS  # so a block scatters at most 2^20 hits
+_COMPRESS_SLICE = 1 << 16  # np.compress builds an int64 index per slice
 
 MAGIC = b"MSF1"
 FORMAT_VERSION = 1
@@ -143,17 +148,17 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, want_omega: bool):
     # the low 4 bits count those p, the high bits sum S of their logs
     steps = ((16 * np.log2(primes)).astype(np.uint16) << 4) | 1
     acc = np.zeros(n, dtype=np.uint16)
-    square = np.zeros(n, dtype=bool)
+    squarefree = np.ones(n, dtype=bool)
     cut, cut2 = _stride_cut(primes, n), _stride_cut(squares, n)
     for p, step in zip(primes[:cut].tolist(), steps[:cut].tolist()):
         acc[(-lo) % p::p] += step
     for p2 in squares[:cut2].tolist():
-        square[(-lo) % p2::p2] = True
+        squarefree[(-lo) % p2::p2] = False
     for b in range(cut, primes.size, _SCATTER_STEPS):
         idx, owner = _hits(lo, n, primes[b:b + _SCATTER_STEPS])
         np.add.at(acc, idx, steps[b + owner])
     for b in range(cut2, squares.size, _SCATTER_STEPS):
-        square[_hits(lo, n, squares[b:b + _SCATTER_STEPS])[0]] = True
+        squarefree[_hits(lo, n, squares[b:b + _SCATTER_STEPS])[0]] = False
     # Square-free m has at most one prime factor q > sqrt(hi - 1) and c <= 15
     # sieving ones (the first 16 primes multiply past 2^63).  Each floor loses
     # under 1 (float error is far below the margin), so 16 log2 m - S < c
@@ -164,9 +169,19 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, want_omega: bool):
     for k in range(max(lo.bit_length() - 1, 2), (hi - 1).bit_length()):
         a, b = max(lo, 1 << k) - lo, min(hi, 2 << k) - lo
         np.less(acc[a:b], 256 * (k - 1), out=leftover[a:b])
-    mu = 1 - 2 * ((acc & 1).astype(np.int8) ^ leftover)
-    mu[square] = 0
-    return mu, (acc & 15).astype(np.uint8) + leftover if want_omega else None
+    # int8 outputs straight from the uint16 loop, with no wide temporary
+    mu = np.empty(n, dtype=np.int8)
+    np.bitwise_and(acc, 1, out=mu, casting="unsafe")
+    mu ^= leftover  # parity of the number of prime factors
+    mu *= -2
+    mu += 1
+    np.multiply(mu, squarefree, out=mu)
+    if not want_omega:
+        return mu, None
+    omega = np.empty(n, dtype=np.uint8)
+    np.bitwise_and(acc, 15, out=omega, casting="unsafe")
+    omega += leftover
+    return mu, omega
 
 
 def iter_mobius(lo: int, hi: int, want_omega: bool = False) -> Iterator[tuple]:
@@ -297,11 +312,18 @@ def iter_restricted_bits(start_ordinal: int, length: int) -> Iterator[np.ndarray
     hi = nth_squarefree(start_ordinal + length - 1) + 1
     remaining = length
     for _, _, mu in iter_mobius(lo, hi):
-        nz = mu[mu != 0]
-        if nz.size > remaining:
-            nz = nz[:remaining]
-        remaining -= nz.size
-        yield ((nz + 1) // 2).astype(np.uint8)
+        # the bit of each square-free entry is its sign, mu > 0
+        bits = np.empty(mu.size, dtype=bool)
+        k = 0
+        for a in range(0, mu.size, _COMPRESS_SLICE):
+            part = mu[a:a + _COMPRESS_SLICE]
+            sqf = part != 0
+            end = k + int(np.count_nonzero(sqf))
+            np.compress(sqf, part > 0, out=bits[k:end])
+            k = end
+        k = min(k, remaining)
+        remaining -= k
+        yield bits[:k].view(np.uint8)
         if remaining == 0:
             return
     if remaining:
@@ -350,7 +372,7 @@ def generate_sequence_file(path, start_ordinal: int, length: int) -> dict:
         try:
             fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, start_ordinal, length))
             for chunk in iter_restricted_bits(start_ordinal, length):
-                ones += int(chunk.sum())
+                ones += int(np.count_nonzero(chunk))
                 buf = np.concatenate([carry, chunk]) if carry.size else chunk
                 whole = (buf.size // 8) * 8
                 np.packbits(buf[:whole], bitorder="little").tofile(fh)

@@ -85,12 +85,14 @@ def _gamma_q_contfrac(a: float, z: float) -> float:
 
 def incomplete_gamma_q(a: float, z: float) -> float:
     """Regularized upper incomplete gamma Q(a,z) = Gamma(a,z)/Gamma(a)."""
-    if a <= 0:
+    if not a > 0:  # also refuses NaN
         raise ValueError(f"a must be positive, got {a}")
-    if z < 0:
+    if not z >= 0:
         raise ValueError(f"z must be non-negative, got {z}")
     if z == 0.0:
         return 1.0
+    if z == math.inf:
+        return 0.0
     if z < a + 1.0:
         q = _gamma_q_series(a, z)
     else:
@@ -100,7 +102,7 @@ def incomplete_gamma_q(a: float, z: float) -> float:
 
 def chi2_pvalue(chi2: float, dof: int) -> float:
     """Tail probability of a chi-square statistic: Q(dof/2, chi2/2)."""
-    if chi2 < 0:
+    if not chi2 >= 0:  # also refuses NaN
         raise ValueError(f"chi2 must be non-negative, got {chi2}")
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")

@@ -4,7 +4,8 @@ Each hash was recorded on the code before the refactor that added it
 (the battery and residue hashes before the duplicate removal, the pi,
 omega and divisor table hashes before the divisor tally left the scan,
 the uniformity report hash before the chi-square tails were unified, the
-`gen` file hashes before the sieve traded division for log sums, the
+`gen` file hashes before the sieve traded division for log sums (the
+two-segment one before mu lost its masked stores), the
 alpha = 0.05 report and `extremes` hashes before the significance level
 left the P-value type and the CSV writers were merged)
 and pins behaviour for later performance work: a faster path that changes
@@ -45,6 +46,8 @@ GEN_SHA256 = {
     (1, 2_000_000): "0e2ab7faf39f686c98188d11dbc5328825908fdb5a6b6beb8f469ae0566945b7",
     (1_000_000_007, 1_000_000): "b9c6fcf3def6af26798c3277bcb28ad214fed9c35f9f5de187bb460983d82fd9",
     (10 ** 12, 100_000): "c3180ab9f32e82ae32842121287425b30dc031538be2443eff5986b9553ad092",
+    # two sieve segments, so a chunk boundary falls inside the packed bytes
+    (1, 5_000_000): "9fc65e2611d1546e4c7d001e2976998b5ae64b96f4a5e088122ef7ae28592b5c",
 }
 
 

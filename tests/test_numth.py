@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from mobiuswalk import mertens, numth, seqgen
@@ -67,6 +68,28 @@ def test_scan_at_segment_edge():
     # the cut at q_edge leaves no square-free number to carry over; one below does
     carried = numth.scan_squarefree(q_edge + 1, (q_edge - 1,))[-1]
     assert _same_snapshot(carried, snaps[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.integers(1, 10 ** 12), width=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1))
+def test_tally_matches_compaction(lo, width, seed):
+    # the tally's dropped bins against the compaction om[mu != 0], on a real
+    # sieve window and on arbitrary omega bytes of both parities of length
+    rng = np.random.default_rng(seed)
+    stretches = [(rng.integers(-1, 2, width, dtype=np.int8),
+                  rng.integers(0, 17, width, dtype=np.uint8))]
+    if width:
+        stretches += [(mu, om) for _, _, mu, om in
+                      seqgen.iter_mobius(lo, lo + width, want_omega=True)]
+    stretches += [(mu[1:], om[1:]) for mu, om in stretches]
+    tally, mertens_sum = numth._Tally(), 0
+    want = np.zeros(numth._MAX_OMEGA, dtype=np.int64)
+    for mu, om in stretches:
+        tally.add(mu, om)
+        want += np.bincount(om[mu != 0], minlength=numth._MAX_OMEGA)
+        mertens_sum += int(mu.sum(dtype=np.int64))
+    assert np.array_equal(tally.class_counts, want)
+    assert tally.mertens == mertens_sum
 
 
 def test_constants():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mobiuswalk import seqgen
 
@@ -142,6 +142,32 @@ def test_restricted_sequence_offset_window():
     base = seqgen.restricted_sequence(1, 2000)
     sub = seqgen.restricted_sequence(1501, 300)
     assert np.array_equal(base.slice_bits(1501, 300), sub.slice_bits(1501, 300))
+
+
+# about 6/pi^2 of a sieve segment's integers are square-free
+_SEGMENT_ORDINALS = int(seqgen.DEFAULT_SEGMENT * 6 / np.pi ** 2)
+
+
+@settings(max_examples=8, deadline=None)
+@given(start=st.integers(1, 10 ** 12), short=st.integers(1, 200_000),
+       extra=st.integers(10_000, 150_000))
+@example(start=1, short=1, extra=10_000)
+@example(start=10 ** 12, short=150_000, extra=150_000)
+def test_restricted_bits_match_compaction(start, short, extra):
+    # the compress path against the boolean-mask compaction, chunk by chunk:
+    # the short window crosses 64 Ki-entry slices, the long one the segment
+    # edge, and each ends at its own final cut
+    for length in (short, _SEGMENT_ORDINALS + extra):
+        lo = seqgen.nth_squarefree(start)
+        hi = seqgen.nth_squarefree(start + length - 1) + 1
+        want = [((mu[mu != 0] + 1) // 2).astype(np.uint8)
+                for _, _, mu in seqgen.iter_mobius(lo, hi)]
+        got = list(seqgen.iter_restricted_bits(start, length))
+        assert [c.dtype for c in got] == [np.uint8] * len(want)
+        assert [c.size for c in got] == [c.size for c in want]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert sum(c.size for c in got) == length
+    assert len(got) >= 2
 
 
 def test_sequence_file_roundtrip(tmp_path):

@@ -42,6 +42,10 @@ def test_incomplete_gamma_domain():
         statcore.incomplete_gamma_q(0.0, 1.0)
     with pytest.raises(ValueError):
         statcore.incomplete_gamma_q(1.0, -0.5)
+    for bad in ((float("nan"), 1.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            statcore.incomplete_gamma_q(*bad)
+    assert statcore.incomplete_gamma_q(2.5, math.inf) == 0.0
 
 
 def test_chi2_pvalue():
@@ -55,6 +59,18 @@ def test_chi2_pvalue():
         statcore.chi2_pvalue(-1.0, 2)
     with pytest.raises(ValueError):
         statcore.chi2_pvalue(1.0, 0)
+
+
+def test_chi2_pvalue_nan_and_inf():
+    # as erfc_pvalue: a NaN statistic has no P-value, an infinite one is 0,
+    # and neither runs the continued fraction to its iteration limit
+    for dof in (1, 3, 64):
+        with pytest.raises(ValueError, match="chi2"):
+            statcore.chi2_pvalue(float("nan"), dof)
+        assert statcore.chi2_pvalue(math.inf, dof) == 0.0
+    with pytest.raises(ValueError):
+        statcore.chi2_pvalue(-math.inf, 3)
+    assert statcore.erfc_pvalue(math.inf) == 0.0
 
 
 def test_erfc_pvalue():
