@@ -73,8 +73,9 @@ def test_scan_at_segment_edge():
 @settings(max_examples=60, deadline=None)
 @given(lo=st.integers(1, 10 ** 12), width=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1))
 def test_tally_matches_compaction(lo, width, seed):
-    # the tally's dropped bins against the compaction om[mu != 0], on a real
-    # sieve window and on arbitrary omega bytes of both parities of length
+    # the tally's dropped bins against the compaction om[mu != 0], on random
+    # bytes and a real sieve window, each also one entry shorter so both
+    # parities of length occur
     rng = np.random.default_rng(seed)
     stretches = [(rng.integers(-1, 2, width, dtype=np.int8),
                   rng.integers(0, 17, width, dtype=np.uint8))]
