@@ -102,6 +102,43 @@ def _word_codes(words: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _word_counts(bits: np.ndarray, m: int, step: int) -> np.ndarray:
+    """Counts of the m-bit codes of the words at bits 0, step, 2 step, ...
+
+    The word positions repeat every lcm(step, 8) bits.  For m <= 9 a word
+    lies within the 16-bit pair of packed bytes that starts at its first
+    byte, so the words of whole groups are counted from one histogram per
+    byte of the group: its pairs shifted right by the smallest shift that
+    a word starting there needs, out of which each word's code is summed.
+    The words after the last whole group, and all words when m > 9, are
+    coded one by one.
+    """
+    counts = np.zeros(2 ** m, dtype=np.int64)
+    n_words = max(0, (bits.size - m) // step + 1)
+    group = math.lcm(step, 8)
+    whole = n_words // (group // step) if m <= 9 else 0
+    if whole:
+        # a word of the last group can reach into the byte after it
+        packed = np.packbits(bits[:whole * group + 8])
+        pairs = packed.astype(np.uint16) << 8
+        pairs[:-1] |= packed[1:]
+        n_bytes = group // 8
+        starts_by_byte = {}
+        for pos in range(0, group, step):
+            starts_by_byte.setdefault(pos // 8, []).append(pos % 8)
+        for byte, starts in starts_by_byte.items():
+            top = max(starts)
+            hist = np.bincount(pairs[byte:whole * n_bytes:n_bytes] >> (16 - top - m),
+                               minlength=2 ** (top + m))
+            for r in starts:
+                counts += hist.reshape(-1, 2 ** m, 2 ** (top - r)).sum(axis=(0, 2))
+    rest = bits[whole * group:]
+    if rest.size >= m:
+        counts += np.bincount(_word_codes(sliding_window_view(rest, m)[::step]),
+                              minlength=2 ** m)
+    return counts
+
+
 def monobit(block) -> TestResult:
     """Balance of ones and zeros: v = |sum of +-1| / sqrt(n)."""
     bits = _as_bits(block)
@@ -120,8 +157,7 @@ def serial_frequency(block, m: int) -> TestResult:
     bits = _as_bits(block)
     _require(bits, 5 * (2 ** m) * m, f"serial m={m}")
     n_tuples = bits.size // m
-    codes = _word_codes(bits[:n_tuples * m].reshape(n_tuples, m))
-    counts = np.bincount(codes, minlength=2 ** m)
+    counts = _word_counts(bits, m, m)
     expected = n_tuples / 2 ** m
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
     dof = 2 ** m - 1
@@ -177,27 +213,23 @@ def gf2_rank(rows: list[int]) -> int:
 
 
 def _gf2_ranks(rows: np.ndarray, h: int) -> np.ndarray:
-    """GF(2) ranks of n h x h matrices given as an (n, h) array of uint64 rows.
+    """GF(2) ranks of n h x h matrices given as an (n, h) array of unsigned rows.
 
     Gaussian elimination on all matrices at once, one step per column c:
-    the first free row with bit c set becomes that matrix's pivot and is
-    xored into every free row with bit c set (zeroing itself, which is never
-    read again).
+    the first row with bit c set becomes that matrix's pivot and is xored
+    into every row with bit c set, itself included.  So the pivot row
+    becomes zero and is never a candidate again, and after the step no
+    row has bit c set.  A matrix with no such row gets a zero xor.
     """
     rows = rows.copy()
     which = np.arange(rows.shape[0])
-    free = np.ones(rows.shape, dtype=bool)
-    ranks = np.zeros(rows.shape[0], dtype=np.int64)
+    ranks = np.zeros(rows.shape[0], dtype=rows.dtype)
     for c in range(h):
-        candidates = (rows & np.uint64(1 << c)).astype(bool)
-        candidates &= free
-        first = candidates.argmax(axis=1)
-        found = candidates[which, first]
-        pivots = rows[which, first]
-        free[which, first] &= ~found
-        np.bitwise_xor(rows, pivots[:, None], out=rows, where=candidates)
-        ranks += found
-    return ranks
+        candidates = (rows >> c) & 1
+        pivots = rows[which, candidates.argmax(axis=1)]
+        rows ^= candidates * pivots[:, None]
+        ranks += (pivots >> c) & 1
+    return ranks.astype(np.int64)
 
 
 def matrix_rank_probability(h: int, r: int) -> float:
@@ -224,15 +256,17 @@ def matrix_rank(block, h: int = 32) -> TestResult:
     """Rank classes (h, h-1, lower) of disjoint h x h binary matrices."""
     # h = 1 has no "rest" class (rank below h - 1), so its chi-square is undefined
     if not 2 <= h <= 64:
-        raise ValueError(f"h must lie in 2..64 (rows are packed into uint64), got {h}")
+        raise ValueError(f"h must lie in 2..64 (rows are packed into uint32 or uint64), got {h}")
     bits = _as_bits(block)
     _require(bits, 38 * h * h, f"matrix_rank h={h}")
     n_mats = bits.size // (h * h)
     mats = bits[:n_mats * h * h].reshape(n_mats, h, h)
     packed = np.packbits(mats, axis=2, bitorder="little")
-    # each row as one little-endian uint64 whose bit j is column j
-    padded = np.pad(packed, ((0, 0), (0, 0), (0, 8 - packed.shape[2])))
-    rows_int = padded.view("<u8")[..., 0]
+    # each row as one little-endian word whose bit j is column j; uint32
+    # halves the elimination's memory traffic where it holds a row
+    width = 4 if h <= 32 else 8
+    padded = np.pad(packed, ((0, 0), (0, 0), (0, width - packed.shape[2])))
+    rows_int = padded.view(f"<u{width}")[..., 0]
     ranks = np.bincount(_gf2_ranks(rows_int, h), minlength=h + 1)
     c_full, c_one = int(ranks[h]), int(ranks[h - 1])
     p_full = matrix_rank_probability(h, h)
@@ -360,8 +394,7 @@ def approximate_entropy(block, m: int = 4) -> TestResult:
     n = bits.size
     # the m-bit code at each position is its (m+1)-bit code shifted right by
     # one, so the m-bit counts are the (m+1)-bit counts summed in pairs
-    codes = _word_codes(sliding_window_view(np.concatenate([bits, bits[:m]]), m + 1))
-    counts_m1 = np.bincount(codes, minlength=2 ** (m + 1))
+    counts_m1 = _word_counts(np.concatenate([bits, bits[:m]]), m + 1, 1)
     phi_m = _phi(counts_m1.reshape(-1, 2).sum(axis=1), n)
     phi_m1 = _phi(counts_m1, n)
     chi2 = 2.0 * n * (log(2.0) - (phi_m - phi_m1))
@@ -540,6 +573,8 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     blocks = list(blocks)
     selection = list(selection)
     if not selection:
@@ -564,7 +599,7 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
         return out
 
     report = BatteryReport(alpha=alpha)
-    with ThreadPoolExecutor(max_workers=max(1, workers or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=workers or 1) as pool:
         for chunk in pool.map(run_one, enumerate(blocks)):
             report.block_results.extend(chunk)
     report.aggregate()

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mobiuswalk import battery as bt
 from mobiuswalk import mertens, seqgen
+from mobiuswalk.statcore import chi2_pvalue
 
 
 def fair_bits(seed, n):
@@ -46,6 +47,78 @@ def test_serial_frequency():
         bt.serial_frequency(rng_bits, 6)
     with pytest.raises(ValueError):
         bt.serial_frequency(np.ones(30, dtype=np.uint8), 2)
+
+
+def _counts_by_codes(bits, m, step):
+    """Counts of the m-bit words at bits 0, step, 2 step, ... coded one by one:
+    the route of serial_frequency (step m) and approximate_entropy (step 1)
+    before packed word counts, kept as their oracle."""
+    if step == m:
+        n_tuples = bits.size // m
+        words = bits[:n_tuples * m].reshape(n_tuples, m)
+    else:
+        words = sliding_window_view(bits, m) if bits.size >= m else np.zeros((0, m), np.uint8)
+    return np.bincount(bt._word_codes(words), minlength=2 ** m)
+
+
+def _serial_frequency_by_codes(bits, m):
+    n_tuples = bits.size // m
+    counts = _counts_by_codes(bits, m, m)
+    expected = n_tuples / 2 ** m
+    chi2 = float(np.sum((counts - expected) ** 2) / expected)
+    return bt.TestResult(f"serial_m{m}", {"m": m, "tuples": n_tuples},
+                         chi2, chi2_pvalue(chi2, 2 ** m - 1))
+
+
+def _approximate_entropy_by_codes(bits, m):
+    n = bits.size
+    counts_m1 = _counts_by_codes(np.concatenate([bits, bits[:m]]), m + 1, 1)
+    phi_m = bt._phi(counts_m1.reshape(-1, 2).sum(axis=1), n)
+    phi_m1 = bt._phi(counts_m1, n)
+    chi2 = 2.0 * n * (math.log(2.0) - (phi_m - phi_m1))
+    return bt.TestResult("entropy", {"m": m, "n": n}, chi2, chi2_pvalue(chi2, 2 ** m),
+                         aux={"phi_m": phi_m, "phi_m1": phi_m1, "apen": phi_m - phi_m1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 300), m=st.integers(1, 10), overlapping=st.booleans(),
+       p=st.sampled_from([0.5, 0.1, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+def test_word_counts_match_codes(n, m, overlapping, p, seed):
+    bits = (np.random.default_rng(seed).random(n) < p).astype(np.uint8)
+    step = 1 if overlapping else m
+    assert bt._word_counts(bits, m, step).tolist() == _counts_by_codes(bits, m, step).tolist()
+
+
+@pytest.mark.parametrize("residue", range(40))
+def test_word_counts_match_codes_long(residue):
+    # every residue of the length mod 8 and mod 40 (the group of 5-bit words)
+    bits = fair_bits(residue, 40 * 2503 + residue)
+    for m in range(1, 11):
+        for step in {1, m}:
+            want = _counts_by_codes(bits, m, step)
+            assert bt._word_counts(bits, m, step).tolist() == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 5), extra=st.integers(0, 700), seed=st.integers(0, 2 ** 32 - 1))
+def test_serial_frequency_matches_codes(m, extra, seed):
+    bits = fair_bits(seed, 5 * 2 ** m * m + extra)
+    assert repr(bt.serial_frequency(bits, m)) == repr(_serial_frequency_by_codes(bits, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 9), extra=st.integers(0, 700), seed=st.integers(0, 2 ** 32 - 1))
+def test_entropy_matches_codes(m, extra, seed):
+    bits = fair_bits(seed, 2 ** (m + 5) + extra)
+    assert repr(bt.approximate_entropy(bits, m)) == repr(_approximate_entropy_by_codes(bits, m))
+
+
+def test_serial_and_entropy_match_codes_long():
+    for n in (10 ** 5, 10 ** 5 + 3, 1_410_000):
+        bits = fair_bits(n, n)
+        for m in (2, 3, 4, 5):
+            assert repr(bt.serial_frequency(bits, m)) == repr(_serial_frequency_by_codes(bits, m))
+        assert repr(bt.approximate_entropy(bits, 4)) == repr(_approximate_entropy_by_codes(bits, 4))
 
 
 def test_oscillation():
@@ -188,7 +261,24 @@ def test_gf2_ranks_match_loop(h, seed):
     rows = _stress_rows(np.random.default_rng(seed), h, 40)
     want = [bt.gf2_rank(r) for r in rows.tolist()]
     assert bt._gf2_ranks(rows, h).tolist() == want
+    if h <= 32:  # matrix_rank packs these rows into uint32
+        assert bt._gf2_ranks(rows.astype(np.uint32), h).tolist() == want
     assert min(want) == 0  # the zero matrix is in the batch
+
+
+@pytest.mark.parametrize("h", [32, 33])
+def test_matrix_rank_classes_match_loop(h):
+    # h = 32 is the widest matrix packed into uint32 rows, h = 33 the narrowest in uint64
+    bits = fair_bits(h, 60 * h * h + 17)
+    bits[:4 * h * h] = 0  # four zero matrices
+    bits[4 * h * h:5 * h * h] = np.tile(bits[5 * h * h:5 * h * h + h], h)  # rank 1
+    mats = bits[:60 * h * h].reshape(60, h, h)
+    ranks = [bt.gf2_rank([int("".join(map(str, row)), 2) for row in mat]) for mat in mats.tolist()]
+    res = bt.matrix_rank(bits, h)
+    assert res.params["matrices"] == 60
+    assert res.aux == {"full": ranks.count(h), "minus_one": ranks.count(h - 1),
+                       "rest": sum(r < h - 1 for r in ranks)}
+    assert res.aux["rest"] >= 5
 
 
 def test_spectral():

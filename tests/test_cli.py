@@ -172,3 +172,9 @@ def test_internal_errors_exit_2(tmp_path, capsys):
                     "--out", str(tmp_path / "rep.jsonl")]) == 2
         assert "alpha must be in (0,1)" in capsys.readouterr().err
         assert not (tmp_path / "rep.jsonl").exists()
+    # no worker count below one runs the battery
+    assert run(["battery", "--seq", str(seq_path), "--tests", "monobit",
+                "--blocks", "2", "--block-len", "100", "--workers", "-3",
+                "--out", str(tmp_path / "rep.jsonl")]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "rep.jsonl").exists()
