@@ -1,6 +1,6 @@
 """Workbench for the Mobius sequence restricted to square-free numbers."""
 
-from .seqgen import (BitSequence, MobiusWindow, SequenceFormatError,
+from .seqgen import (BitSequence, SequenceFormatError,
                      generate_sequence_file, mobius_range, nth_squarefree,
                      read_sequence, restricted_sequence, squarefree_count,
                      write_sequence)
@@ -9,7 +9,7 @@ from .statcore import (chi2_pvalue, chi2_test, erfc_pvalue, incomplete_gamma_q,
                        pvalue_uniformity)
 
 __all__ = [
-    "BitSequence", "MobiusWindow", "SequenceFormatError",
+    "BitSequence", "SequenceFormatError",
     "generate_sequence_file", "mobius_range", "nth_squarefree",
     "read_sequence", "restricted_sequence", "squarefree_count",
     "write_sequence",

@@ -376,13 +376,11 @@ def _phi(counts: np.ndarray, n: int) -> float:
 
 def entropy_phi(block, m: int) -> float:
     """Sum of pi log pi over overlapping m-bit patterns (wrap-around)."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     bits = _as_bits(block)
-    n = bits.size
-    ext = np.concatenate([bits, bits[:m - 1]]) if m > 1 else bits
-    vals = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        vals = 2 * vals + ext[j:j + n]
-    return _phi(np.bincount(vals, minlength=2 ** m), n)
+    _require(bits, m, f"entropy_phi m={m}")
+    return _phi(_word_counts(np.concatenate([bits, bits[:m - 1]]), m, 1), bits.size)
 
 
 def approximate_entropy(block, m: int = 4) -> TestResult:
@@ -475,8 +473,7 @@ def cross_correlation_random(block, rng_or_seed) -> TestResult:
     """Dot product with a seeded fair +-1 sequence, scaled by sqrt(n)."""
     bits = _as_bits(block)
     _require(bits, 100, "cross_correlation")
-    rng = (rng_or_seed if isinstance(rng_or_seed, np.random.Generator)
-           else np.random.default_rng(rng_or_seed))
+    rng = np.random.default_rng(rng_or_seed)
     n = bits.size
     ref = rng.integers(0, 2, size=n, dtype=np.int8).view(np.uint8)
     # each agreeing position adds 1 to the +-1 dot product, each other one -1
@@ -607,8 +604,8 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
 
 
 def blocks_from_ensemble(ens: Ensemble, seq: BitSequence):
-    for spec in ens.blocks():
-        yield spec.start_ordinal, seq.slice_bits(spec.start_ordinal, spec.length)
+    for start in ens.starts.tolist():
+        yield start, seq.slice_bits(start, ens.block_length)
 
 
 def run_battery(ens: Ensemble, seq: BitSequence, selection=DEFAULT_SELECTION,

@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .seqgen import BitSequence, iter_mobius, nth_squarefree
 
 _PARTIAL_SUM_GUARD = 1e-12  # rounding slack of the float prefix sums of mu(m)/m
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    start_ordinal: int
-    length: int
 
 
 @dataclass(frozen=True)
@@ -49,10 +42,6 @@ class Ensemble:
     @property
     def end(self) -> int:
         return int(self.starts[-1]) + self.block_length
-
-    def blocks(self) -> Iterator[BlockSpec]:
-        for s in self.starts:
-            yield BlockSpec(int(s), self.block_length)
 
 
 def build_ensemble(l1: int, l2: int, n_blocks: int, block_len: int,

@@ -11,29 +11,20 @@ statistics stream the sieve over every integer up to sqf_n.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, takewhile
 from math import log
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import expi, zeta
 
-from .seqgen import (PI2_OVER_6, first_primes, iter_mobius, mobius_range,
-                     nth_squarefree, prime_count, squarefree_multiples)
+from .seqgen import (PI2_OVER_6, iter_mobius, mobius_range, nth_squarefree,
+                     prime_count, squarefree_multiples)
 from .statcore import chi2_pvalue
 
 _SERIES_TOL = 1e-12
 _MAX_OMEGA = 24  # omega = 24 first occurs at the 24th primorial, about 2.4e34
-
-
-@lru_cache(maxsize=None)
-def _primorials_upto(bound: int) -> tuple:
-    # k primes multiply to at least 2^k, so bound.bit_length() primes suffice
-    prods = accumulate(first_primes(bound.bit_length()).tolist(), operator.mul)
-    return tuple(takewhile(lambda v: v <= bound, prods))
 
 
 @dataclass(frozen=True)
@@ -133,7 +124,7 @@ def constants_compute() -> Constants:
     smoothed by the density 1/log t, integrated from 2.
     """
     a_const = float(np.euler_gamma)
-    mu = mobius_range(1, 129).values
+    mu = mobius_range(1, 129)
     k = 2
     while True:
         term = log(float(zeta(k))) / k
@@ -210,9 +201,10 @@ class ClassCounts:
 
 def class_counts(n: int) -> ClassCounts:
     """The omega classes of the first n square-free numbers (Erdos-Kac)."""
-    snap = scan_squarefree(n)[-1]
-    q = len(_primorials_upto(snap.sqf_n)) if snap.sqf_n >= 2 else 0
-    counts = snap.class_counts[:max(q + 1, int(np.max(np.nonzero(snap.class_counts)[0])) + 1)].copy()
+    cc = scan_squarefree(n)[-1].class_counts
+    # the classes run to the last non-empty one: the smallest square-free
+    # number with k prime factors is the k-th primorial, so none is empty
+    counts = cc[:np.flatnonzero(cc)[-1] + 1]
     evens = int(counts[0::2].sum())
     odds = int(counts[1::2].sum())
     return ClassCounts(n, counts, evens, odds)

@@ -73,14 +73,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and bool(np.all(n % base_primes(isqrt(n)) != 0))
 
 
-def first_primes(k: int) -> np.ndarray:
-    """The first k primes, from base primes over a doubling bound."""
-    limit = 16
-    while (primes := base_primes(limit)).size < k:
-        limit *= 2
-    return primes[:k]
-
-
 def prime_count(x: int) -> int:
     """pi(x): exact number of primes <= x, by the Lucy/Legendre recursion.
 
@@ -109,18 +101,6 @@ def prime_count(x: int) -> int:
         large[mid + 1:top + 1] -= small[x // (k[mid + 1:top + 1] * p)] - below
         small[p * p:] -= small[k[p * p:] // p] - below
     return int(large[1])
-
-
-@dataclass(frozen=True)
-class MobiusWindow:
-    """Exact mu values on [lo, hi): values[m - lo] = mu(m)."""
-
-    lo: int
-    hi: int
-    values: np.ndarray  # int8, entries in {-1, 0, +1}
-
-    def __len__(self):
-        return self.hi - self.lo
 
 
 def _hits(lo: int, n: int, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,8 +178,8 @@ def iter_mobius(lo: int, hi: int, want_omega: bool = False) -> Iterator[tuple]:
             yield seg_lo, seg_hi, mu
 
 
-def mobius_range(lo: int, hi: int) -> MobiusWindow:
-    """Exact mu values on [lo, hi) as one in-memory window."""
+def mobius_range(lo: int, hi: int) -> np.ndarray:
+    """Exact mu values on [lo, hi) as one int8 array: entry m - lo is mu(m)."""
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi - lo > MAX_WINDOW:
@@ -207,7 +187,7 @@ def mobius_range(lo: int, hi: int) -> MobiusWindow:
             f"window of {hi - lo} integers exceeds budget {MAX_WINDOW}; "
             "use iter_mobius to stream")
     chunks = [mu for _, _, mu in iter_mobius(lo, hi)]
-    return MobiusWindow(lo, hi, np.concatenate(chunks))
+    return np.concatenate(chunks)
 
 
 def squarefree_terms(x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,7 +197,7 @@ def squarefree_terms(x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     r = isqrt(x)
-    mu = mobius_range(1, r + 1).values.astype(np.int64)
+    mu = mobius_range(1, r + 1).astype(np.int64)
     d = np.arange(1, r + 1, dtype=np.int64)
     return d, mu, x // (d * d)
 
@@ -253,7 +233,7 @@ def nth_squarefree(n: int) -> int:
     w = 64 + 2 * abs(n - q)
     while True:
         lo = max(1, x - w)
-        sqf = lo + np.flatnonzero(mobius_range(lo, x + w).values)
+        sqf = lo + np.flatnonzero(mobius_range(lo, x + w))
         k = n - q + int(np.count_nonzero(sqf <= x))
         if 1 <= k <= sqf.size:
             return int(sqf[k - 1])

@@ -449,6 +449,18 @@ def test_entropy_counts_match_phi():
         assert res.aux["phi_m1"] == bt.entropy_phi(bits, m + 1)
 
 
+def test_entropy_phi_rejects_bad_input():
+    # fewer bits than m leave no m-bit window that lies inside the block
+    with pytest.raises(ValueError, match="at least 4 bits"):
+        bt.entropy_phi(np.array([0, 1], dtype=np.uint8), 4)
+    with pytest.raises(ValueError, match="at least 10 bits"):
+        bt.entropy_phi(fair_bits(3, 5), 10)
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            bt.entropy_phi(fair_bits(3, 100), m)
+    assert bt.entropy_phi(np.array([0, 1], dtype=np.uint8), 2) == pytest.approx(-math.log(2))
+
+
 def test_entropy_statistic():
     bits = fair_bits(13, 10 ** 5)
     res = bt.approximate_entropy(bits, 4)
@@ -623,6 +635,16 @@ def test_run_battery_skips_short_blocks():
     by_name = {r.test_name: r for _, _, r in rep.block_results}
     assert by_name["maurer"].skipped == "insufficient length"
     assert by_name["monobit"].skipped is None
+
+
+def test_block_source_error_propagates():
+    # a block source that fails midway fails the run; no partial report
+    def blocks():
+        yield from bt.fair_coin_blocks(1, 2, 1000)
+        raise RuntimeError("block source failed")
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError, match="block source failed"):
+            bt.run_battery_on_blocks(blocks(), selection=("monobit",), workers=workers)
 
 
 def test_jsonl_report():

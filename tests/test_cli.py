@@ -1,6 +1,8 @@
 import csv
 import json
 
+import numpy as np
+
 from mobiuswalk import cli, seqgen
 
 
@@ -50,6 +52,41 @@ def test_battery_coverage_error(tmp_path):
     code = run(["battery", "--seq", str(seq_path), "--tests", "monobit",
                 "--blocks", "100", "--block-len", "1000"])
     assert code == 2
+
+
+def test_battery_block_error_exits_2(tmp_path, capsys, monkeypatch):
+    seq_path = tmp_path / "s.msf"
+    assert run(["gen", "--count", "5000", "--out", str(seq_path)]) == 0
+    report = tmp_path / "rep.jsonl"
+    argv = ["battery", "--seq", str(seq_path), "--tests", "monobit",
+            "--blocks", "4", "--block-len", "1000", "--out", str(report)]
+    slice_bits = seqgen.BitSequence.slice_bits
+    calls = []
+
+    def failing_slice(self, ordinal, count):
+        calls.append(ordinal)
+        if len(calls) == 3:
+            raise OSError("read failed on the third block")
+        return slice_bits(self, ordinal, count)
+
+    monkeypatch.setattr(seqgen.BitSequence, "slice_bits", failing_slice)
+    assert run(argv) == 2
+    assert "read failed on the third block" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_battery_constant_block_exits_2(tmp_path, capsys):
+    # oscillation has no statistic on a block of equal bits
+    rng = np.random.default_rng(3)
+    bits = np.concatenate([rng.integers(0, 2, 200), np.zeros(200, dtype=np.int64),
+                           rng.integers(0, 2, 200)])
+    seq_path = tmp_path / "s.msf"
+    seqgen.write_sequence(seqgen.BitSequence.from_bits(1, bits), seq_path)
+    report = tmp_path / "rep.jsonl"
+    assert run(["battery", "--seq", str(seq_path), "--tests", "oscillation",
+                "--blocks", "3", "--block-len", "200", "--out", str(report)]) == 2
+    assert "degenerate block" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_tables_pi(tmp_path):

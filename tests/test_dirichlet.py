@@ -88,7 +88,7 @@ def test_generalized_mertens_basics():
     for j in range(table.phi):
         assert dirichlet.generalized_mertens(table.chi(j), 1) == pytest.approx(1.0)
     # principal character sums mu over m coprime to q
-    win = seqgen.mobius_range(1, 201).values
+    win = seqgen.mobius_range(1, 201)
     direct = sum(int(win[m - 1]) for m in range(1, 201) if m % 5 != 0)
     assert dirichlet.generalized_mertens(table.chi(0), 200) == pytest.approx(direct)
 
@@ -97,7 +97,7 @@ def test_residue_mertens_and_identity():
     q, x = 5, 10 ** 4
     table = dirichlet.character_table(q)
     m_r = np.array([dirichlet.residue_mertens(q, r, x) for r in range(q)])
-    win = seqgen.mobius_range(1, x + 1).values
+    win = seqgen.mobius_range(1, x + 1)
     for r in range(q):
         brute = int(sum(win[m - 1] for m in range(1, x + 1) if m % q == r))
         assert m_r[r] == brute
@@ -109,7 +109,7 @@ def test_residue_mertens_and_identity():
 
 def test_squarefree_in_progression_small():
     # square-free numbers in [2, 30]: residue classes mod 5 by enumeration
-    win = seqgen.mobius_range(2, 31).values
+    win = seqgen.mobius_range(2, 31)
     sqf = [m for m in range(2, 31) if win[m - 2] != 0]
     rows = dirichlet.progression_table(5, 30)
     assert [row[0] for row in rows] == list(range(5))

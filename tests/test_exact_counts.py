@@ -59,7 +59,7 @@ def test_prime_count_against_base_primes():
 
 def test_progression_counts_small_x():
     # every x from q to 5000: one sieve, classes counted by cumulative sums
-    flags = seqgen.mobius_range(1, 5001).values != 0
+    flags = seqgen.mobius_range(1, 5001) != 0
     flags[0] = False  # the unit is not counted
     m = np.arange(1, 5001)
     for q in MODULI:

@@ -62,8 +62,6 @@ def test_build_ensemble_fixed():
     ens = mertens.build_ensemble(1, 21, 2, 5, mertens.GapPolicy("fixed", 5))
     assert ens.starts.tolist() == [1, 11]
     assert ens.end == 16
-    blocks = list(ens.blocks())
-    assert blocks[0] == mertens.BlockSpec(1, 5)
 
 
 def test_build_ensemble_random_deterministic():

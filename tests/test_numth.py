@@ -56,7 +56,7 @@ def test_scan_at_segment_edge():
     snaps = numth.scan_squarefree(q_edge + 1, marks)
     assert [s.n for s in snaps] == list(marks)
     assert snaps[1].sqf_n <= edge < snaps[2].sqf_n
-    sqf = seqgen.mobius_range(1, snaps[-1].sqf_n + 1).values != 0
+    sqf = seqgen.mobius_range(1, snaps[-1].sqf_n + 1) != 0
     for c, snap in zip(marks, snaps):
         assert snap.sqf_n == seqgen.nth_squarefree(c)
         assert snap.mertens == mertens.mertens_restricted(c)
@@ -118,6 +118,15 @@ def test_class_counts_small():
     assert int(cc.counts.sum()) == 7
     assert cc.n_plus + cc.n_minus == 7
     assert cc.alternating_sum == 1 - 4 + 2
+
+
+def test_class_counts_end_at_last_primorial():
+    # the smallest square-free number with k prime factors is the k-th
+    # primorial, so the classes 0..k are all there exactly up to it
+    primorials = np.cumprod([2, 3, 5, 7, 11, 13, 17, 19], dtype=np.int64)
+    for n in [*range(1, 401), 10 ** 4, 10 ** 5, 123457, 10 ** 6]:
+        width = int(np.searchsorted(primorials, seqgen.nth_squarefree(n), "right"))
+        assert numth.class_counts(n).counts.size - 1 == width, n
 
 
 def test_class_counts_partition_identity():

@@ -26,10 +26,10 @@ def mu_trial_division(m: int) -> int:
 
 def test_mobius_first_values():
     win = seqgen.mobius_range(1, 2)
-    assert win.values.tolist() == [1]
-    assert seqgen.mobius_range(30, 31).values.tolist() == [-1]  # 30 = 2*3*5
-    assert seqgen.mobius_range(4, 5).values.tolist() == [0]
-    assert seqgen.mobius_range(1, 12).values.tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1]
+    assert win.tolist() == [1]
+    assert seqgen.mobius_range(30, 31).tolist() == [-1]  # 30 = 2*3*5
+    assert seqgen.mobius_range(4, 5).tolist() == [0]
+    assert seqgen.mobius_range(1, 12).tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1]
 
 
 def test_mobius_against_trial_division():
@@ -37,14 +37,14 @@ def test_mobius_against_trial_division():
     for lo, hi in [(1, 3000), (10 ** 6 - 500, 10 ** 6 + 500), (10 ** 9, 10 ** 9 + 2000)]:
         win = seqgen.mobius_range(lo, hi)
         for m in rng.integers(lo, hi, size=400):
-            assert win.values[m - lo] == mu_trial_division(int(m)), m
+            assert win[m - lo] == mu_trial_division(int(m)), m
 
 
 def test_mobius_window_concatenation():
     a, b, c = 100, 5000, 12000
-    left = seqgen.mobius_range(a, b).values
-    right = seqgen.mobius_range(b, c).values
-    full = seqgen.mobius_range(a, c).values
+    left = seqgen.mobius_range(a, b)
+    right = seqgen.mobius_range(b, c)
+    full = seqgen.mobius_range(a, c)
     assert np.array_equal(np.concatenate([left, right]), full)
 
 
@@ -75,7 +75,7 @@ def test_squarefree_density_converges():
 def test_squarefree_multiples_against_strided_count():
     primes = (2, 3, 5, 7, 97)
     edge = seqgen.DEFAULT_SEGMENT
-    sqf = seqgen.mobius_range(1, 10 ** 7 + 1).values != 0  # sqf[m - 1]: m square-free
+    sqf = seqgen.mobius_range(1, 10 ** 7 + 1) != 0  # sqf[m - 1]: m square-free
     # every x <= 5000, through running totals of the multiples of p
     for p in primes:
         running = np.cumsum(sqf[:5000] & (np.arange(1, 5001) % p == 0))
@@ -100,7 +100,7 @@ def test_nth_squarefree():
         seqgen.nth_squarefree(0)
     # every ordinal up to 5000, and seeded random ones below 3e5, against
     # the nonzero positions of a sieve window
-    sqf = 1 + np.flatnonzero(seqgen.mobius_range(1, 500_000).values)
+    sqf = 1 + np.flatnonzero(seqgen.mobius_range(1, 500_000))
     assert [seqgen.nth_squarefree(n) for n in range(1, 5001)] == sqf[:5000].tolist()
     for n in np.random.default_rng(5).integers(5001, 300_000, size=200):
         assert seqgen.nth_squarefree(int(n)) == sqf[n - 1], n
@@ -111,7 +111,7 @@ def test_nth_squarefree_near_1e12():
     for n in (10 ** 12 - 7, 10 ** 12 + 123_457):
         y = seqgen.nth_squarefree(n)
         assert seqgen.squarefree_count(y) == n
-        assert seqgen.mobius_range(y, y + 1).values[0] != 0
+        assert seqgen.mobius_range(y, y + 1)[0] != 0
 
 
 def test_nth_squarefree_scaling():
@@ -260,6 +260,6 @@ def test_slice_rejects_negative_count():
 def test_prime_helpers_against_trial_division():
     oracle = [n for n in range(2000) if n >= 2 and all(n % d for d in range(2, n))]
     assert [n for n in range(2000) if seqgen.is_prime(n)] == oracle
-    assert seqgen.first_primes(len(oracle)).tolist() == oracle
-    assert seqgen.first_primes(0).size == 0
+    assert seqgen.base_primes(1999).tolist() == oracle
+    assert seqgen.base_primes(1).size == 0
     assert seqgen.is_prime(1_000_000_007) and not seqgen.is_prime(1_000_000_007 * 3)
