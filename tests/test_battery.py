@@ -638,7 +638,7 @@ def test_run_battery_skips_short_blocks():
 
 
 def test_block_source_error_propagates():
-    # a block source that fails midway fails the run; no partial report
+    # a block source that fails midway fails the whole run
     def blocks():
         yield from bt.fair_coin_blocks(1, 2, 1000)
         raise RuntimeError("block source failed")

@@ -122,7 +122,7 @@ def test_class_counts_small():
 
 def test_class_counts_end_at_last_primorial():
     # the smallest square-free number with k prime factors is the k-th
-    # primorial, so the classes 0..k are all there exactly up to it
+    # primorial, so the last class is the number of primorials <= sqf_n
     primorials = np.cumprod([2, 3, 5, 7, 11, 13, 17, 19], dtype=np.int64)
     for n in [*range(1, 401), 10 ** 4, 10 ** 5, 123457, 10 ** 6]:
         width = int(np.searchsorted(primorials, seqgen.nth_squarefree(n), "right"))
