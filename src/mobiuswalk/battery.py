@@ -336,8 +336,10 @@ def maurer_statistic(block, m_bits: int, q_init: int, k_test: int) -> tuple[floa
     The table holds the last-occurrence block index per word value after
     the full pass (0 = never seen).
     """
-    if q_init < 0 or k_test < 1:
-        raise ValueError(f"need q_init >= 0 and k_test >= 1, got {q_init}, {k_test}")
+    # the table has 2^m_bits entries
+    if not 1 <= m_bits <= 16 or q_init < 0 or k_test < 1:
+        raise ValueError(f"need 1 <= m_bits <= 16, q_init >= 0 and k_test >= 1, "
+                         f"got {m_bits}, {q_init}, {k_test}")
     bits = _as_bits(block)
     n_blocks = q_init + k_test
     _require(bits, m_bits * n_blocks, "maurer")
@@ -518,16 +520,12 @@ class BatteryReport:
     proportions: dict = field(default_factory=dict)
     uniformity: dict = field(default_factory=dict)
 
-    def per_test(self) -> dict:
-        grouped: dict[str, list[TestResult]] = {}
+    def aggregate(self) -> None:
+        grouped: dict[str, list[float]] = {}
         for _, _, res in self.block_results:
             if res.skipped is None:
-                grouped.setdefault(res.test_name, []).append(res)
-        return grouped
-
-    def aggregate(self) -> None:
-        for name, results in self.per_test().items():
-            pvals = [res.p_value for res in results]
+                grouped.setdefault(res.test_name, []).append(res.p_value)
+        for name, pvals in grouped.items():
             self.proportions[name] = proportion_check(pvals, self.alpha)
             self.uniformity[name] = (pvalue_uniformity(pvals)
                                      if len(pvals) >= UNIFORMITY_MIN_SIZE else None)
@@ -572,7 +570,6 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    blocks = list(blocks)
     selection = list(selection)
     if not selection:
         raise ValueError("empty test selection")
@@ -582,6 +579,7 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
         # a repeat would count each block twice in the pass proportion
         if selection.count(name) > 1:
             raise ValueError(f"test {name!r} selected twice")
+    blocks = list(blocks)
 
     def run_one(item):
         idx, (start, bits) = item

@@ -143,8 +143,7 @@ def cmd_extremes(args) -> int:
                                        lambda v: 1.0 / (np.pi * np.sqrt(v * (1 - v)))
                                        if 0 < v < 1 else 0.0)
         _write_csv(args.out + "_arcsine.csv", header, rows)
-        rows = extremes.histogram_rows(tau, 50, (-1.0, 1.0),
-                                       lambda v: extremes._mori_f_safe(v))
+        rows = extremes.histogram_rows(tau, 50, (-1.0, 1.0), extremes._mori_f_safe)
         _write_csv(args.out + "_tau.csv", header, rows)
     return 0
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqgen import MAX_WINDOW, SegmentBudgetError, is_prime, iter_mobius, squarefree_terms
+from .seqgen import (MAX_WINDOW, SegmentBudgetError, base_primes, is_prime, iter_mobius,
+                     squarefree_terms)
 
 _AXIOM_TOL = 1e-12
 _CLASS_BLOCK = 1 << 20  # class entries scattered at once
@@ -28,17 +29,14 @@ def smallest_primitive_root(q: int) -> int:
     if q == 2:
         return 1
     phi = q - 1
-    factors = []
-    x = phi
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            factors.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        factors.append(x)
+    primes = base_primes(math.isqrt(phi))
+    factors = primes[phi % primes == 0].tolist()
+    rest = phi  # at most one prime factor of phi exceeds its square root
+    for f in factors:
+        while rest % f == 0:
+            rest //= f
+    if rest > 1:
+        factors.append(rest)
     for g in range(2, q):
         if all(pow(g, phi // f, q) != 1 for f in factors):
             return g

@@ -92,10 +92,7 @@ def mori_f(x: float) -> float:
 
 
 def _mori_f_safe(x: float) -> float:
-    ax = abs(x)
-    if ax < 1e-9 or ax >= 1.0:
-        return 0.0
-    return mori_f(x)
+    return mori_f(x) if 0.0 < abs(x) < 1.0 else 0.0
 
 
 @lru_cache(maxsize=64)
@@ -187,6 +184,8 @@ def arcsine_compare(samples, T: int | None = None) -> FitReport:
         raise ValueError(f"need at least {_FIT_MIN_SAMPLES} samples, got {x.size}")
     if np.any((x < 0) | (x > 1)):
         raise ValueError("samples must lie in [0, 1]")
+    if T is not None and T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
     if T is None:
         edges = np.linspace(0.0, 1.0, _FIT_BINS + 1)
         cdf = (2.0 / pi) * np.arcsin(np.sqrt(edges))

@@ -125,14 +125,6 @@ def mertens_restricted(n: int) -> int:
     return mertens_function(nth_squarefree(n))
 
 
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 @dataclass(frozen=True)
 class MomentReport:
     L: int
@@ -154,7 +146,7 @@ def moment_estimates(ens: Ensemble, seq: BitSequence, max_order: int = 4) -> Mom
     b = block_sums(ens, seq).astype(np.float64)
     L = float(ens.block_length)
     moments = {k: float(np.mean(b ** k)) for k in range(1, max_order + 1)}
-    reference = {k: (0.0 if k % 2 else L ** (k / 2) * _double_factorial(k - 1))
+    reference = {k: (0.0 if k % 2 else L ** (k / 2) * math.prod(range(k - 1, 0, -2)))
                  for k in range(1, max_order + 1)}
     z = b / math.sqrt(L)
     return MomentReport(ens.block_length, ens.n_blocks, moments, reference,
@@ -171,7 +163,7 @@ class PartialSumReport:
 
 def mean_and_partial_sum_checks(x_max: int) -> PartialSumReport:
     """Scan |sum_{m<=x} mu(m)/m| <= 1 for all x <= x_max (hard theorem) and
-    report M(x)/x at decade checkpoints along the way."""
+    report M(x)/x, from mertens_function, at decade checkpoints."""
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     checkpoints = [10 ** k for k in range(0, int(math.log10(x_max)) + 1)]
@@ -179,18 +171,10 @@ def mean_and_partial_sum_checks(x_max: int) -> PartialSumReport:
         checkpoints.append(x_max)
     max_abs = 0.0
     carry = 0.0
-    mertens = 0
-    ratios = []
-    ci = 0
     for seg_lo, seg_hi, mu in iter_mobius(1, x_max + 1):
         terms = mu / np.arange(seg_lo, seg_hi, dtype=np.float64)
         prefix = carry + np.cumsum(terms)
         max_abs = max(max_abs, float(np.abs(prefix).max()))
         carry = float(prefix[-1])
-        cum_mu = np.cumsum(mu, dtype=np.int64)
-        while ci < len(checkpoints) and checkpoints[ci] < seg_hi:
-            c = checkpoints[ci]
-            ratios.append((c, (mertens + int(cum_mu[c - seg_lo])) / c))
-            ci += 1
-        mertens += int(cum_mu[-1])
+    ratios = [(c, mertens_function(c) / c) for c in checkpoints]
     return PartialSumReport(x_max, max_abs, max_abs <= 1.0 + _PARTIAL_SUM_GUARD, ratios)

@@ -195,8 +195,7 @@ class ClassCounts:
 
     @property
     def alternating_sum(self) -> int:
-        signs = np.where(np.arange(self.counts.size) % 2 == 0, 1, -1)
-        return int(np.sum(signs * self.counts))
+        return self.n_plus - self.n_minus
 
 
 def class_counts(n: int) -> ClassCounts:

@@ -214,9 +214,14 @@ def squarefree_multiples(p: int, x: int) -> int:
     the same count at x // p, i.e. sum_{j>=1} (-1)^(j-1) Q(x // p^j)."""
     if x < 1 or not is_prime(p):
         raise ValueError(f"need x >= 1 and p prime, got x={x}, p={p}")
+    if x < p:
+        return 0
+    # each Q(y) below sums a prefix of the terms of the first, Q(x // p)
+    d, mu, _ = squarefree_terms(x // p)
     total, sign, y = 0, 1, x // p
     while y:
-        total += sign * squarefree_count(y)
+        r = isqrt(y)
+        total += sign * int(mu[:r] @ (y // (d[:r] * d[:r])))
         sign, y = -sign, y // p
     return total
 

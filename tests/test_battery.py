@@ -583,6 +583,10 @@ def test_degenerate_inputs_rejected():
         bt.cross_correlation_random(empty, 0)
     with pytest.raises(ValueError, match="k_test >= 1"):
         bt.maurer_statistic(fair_bits(1, 1000), 2, 4, 0)
+    # the word table has 2^m_bits entries; m_bits = 0 returned f = 0.0
+    for m_bits in (0, -1, 17):
+        with pytest.raises(ValueError, match="m_bits"):
+            bt.maurer_statistic(fair_bits(1, 1000), m_bits, 4, 6)
     # an empty template is vacuously aperiodic and would count no hits
     with pytest.raises(ValueError, match="at least one bit"):
         bt.nonoverlapping_template(np.ones(10000, dtype=np.uint8),
@@ -645,6 +649,18 @@ def test_block_source_error_propagates():
     for workers in (1, 2):
         with pytest.raises(RuntimeError, match="block source failed"):
             bt.run_battery_on_blocks(blocks(), selection=("monobit",), workers=workers)
+
+
+def test_selection_checked_before_any_block():
+    # a bad selection is refused before a single block is drawn
+    def blocks():
+        raise AssertionError("block source advanced")
+        yield
+    for selection, message in ((("monobit", "bogus"), "unknown test"),
+                               (("monobit", "cumsum", "monobit"), "selected twice"),
+                               ((), "empty test selection")):
+        with pytest.raises(ValueError, match=message):
+            bt.run_battery_on_blocks(blocks(), selection=selection)
 
 
 def test_jsonl_report():

@@ -44,6 +44,33 @@ def test_composite_modulus_rejected():
         dirichlet.character_table(8)
 
 
+def _primitive_root_trial_division(q):
+    """Oracle: the prime factors of q - 1 by trial division over every d."""
+    phi, rest, factors, d = q - 1, q - 1, [], 2
+    while d * d <= rest:
+        if rest % d == 0:
+            factors.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        factors.append(rest)
+    return next(g for g in range(2, q) if all(pow(g, phi // f, q) != 1 for f in factors))
+
+
+def test_smallest_primitive_root():
+    for q in seqgen.base_primes(20000).tolist()[1:]:
+        assert dirichlet.smallest_primitive_root(q) == _primitive_root_trial_division(q), q
+    for q in (1000003, 998244353, 2 ** 31 - 1, 10 ** 9 + 7):
+        assert dirichlet.smallest_primitive_root(q) == _primitive_root_trial_division(q), q
+    assert dirichlet.smallest_primitive_root(2) == 1
+    # exhaustive for small q: g generates every unit and no smaller g does
+    for q in (3, 5, 7, 11, 13, 97, 101):
+        g = dirichlet.smallest_primitive_root(q)
+        orders = [len({pow(h, a, q) for a in range(q - 1)}) for h in range(2, g + 1)]
+        assert orders[-1] == q - 1 and max(orders[:-1], default=0) < q - 1
+
+
 def test_character_table_budget(monkeypatch):
     # the least prime whose (q - 1) x q table exceeds the window budget; the
     # table would take 1 GiB, and it must be refused before any of it exists

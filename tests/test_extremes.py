@@ -156,6 +156,10 @@ def test_arcsine_compare_exact_null():
     assert rep.p_value > 0.001
     with pytest.raises(ValueError):
         extremes.arcsine_compare([0.5] * 10)
+    # a walk of fewer than one step has no argmin law to compare against
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            extremes.arcsine_compare(t_min / T, T=bad)
 
 
 def test_tau_compare_synthetic_walks():

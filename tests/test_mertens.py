@@ -113,3 +113,12 @@ def test_partial_sum_bound():
     # mean of mu vanishes slowly
     assert abs(dict(rep.mertens_over_x)[10 ** 5]) < 0.01
 
+
+def test_mertens_ratios_match_running_sum():
+    x_max = 5_000_000  # the last checkpoint lies past the first 4 Mi segment
+    assert x_max > seqgen.DEFAULT_SEGMENT
+    rep = mertens.mean_and_partial_sum_checks(x_max)
+    running = np.cumsum(seqgen.mobius_range(1, x_max + 1))
+    checkpoints = [10 ** k for k in range(7)] + [x_max]
+    assert rep.mertens_over_x == [(c, int(running[c - 1]) / c) for c in checkpoints]
+

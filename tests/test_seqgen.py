@@ -89,6 +89,20 @@ def test_squarefree_multiples_against_strided_count():
             seqgen.squarefree_multiples(p, x)
 
 
+def test_squarefree_multiples_sieves_once(monkeypatch):
+    # every Q(x // p^j) reads a prefix of the one mu table of Q(x // p)
+    calls = []
+    terms = seqgen.squarefree_terms
+    monkeypatch.setattr(seqgen, "squarefree_terms", lambda x: calls.append(x) or terms(x))
+    sqf = seqgen.mobius_range(1, 10 ** 6 + 1) != 0
+    for p in (2, 3, 997):
+        calls.clear()
+        assert seqgen.squarefree_multiples(p, 10 ** 6) == int(sqf[p - 1::p].sum())
+        assert calls == [10 ** 6 // p]
+    calls.clear()
+    assert seqgen.squarefree_multiples(7, 6) == 0 and calls == []
+
+
 def test_nth_squarefree():
     # first entries of the sequence: 1, 2, 3, 5, 6, 7, 10, 11, 13
     firsts = [seqgen.nth_squarefree(n) for n in range(1, 10)]
