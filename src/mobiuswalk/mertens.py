@@ -166,7 +166,7 @@ def mean_and_partial_sum_checks(x_max: int) -> PartialSumReport:
     report M(x)/x, from mertens_function, at decade checkpoints."""
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
-    checkpoints = [10 ** k for k in range(0, int(math.log10(x_max)) + 1)]
+    checkpoints = [10 ** k for k in range(len(str(x_max)))]  # float log10 rounds 10^15 - 1 up
     if checkpoints[-1] != x_max:
         checkpoints.append(x_max)
     max_abs = 0.0

@@ -122,3 +122,13 @@ def test_mertens_ratios_match_running_sum():
     checkpoints = [10 ** k for k in range(7)] + [x_max]
     assert rep.mertens_over_x == [(c, int(running[c - 1]) / c) for c in checkpoints]
 
+
+def test_partial_sum_checkpoints_stop_at_x_max(monkeypatch):
+    # only the checkpoints are under test: one fake segment, M = 0 everywhere
+    monkeypatch.setattr(mertens, "iter_mobius", lambda lo, hi: iter([(1, 2, np.ones(1))]))
+    monkeypatch.setattr(mertens, "mertens_function", lambda x: 0)
+    for x_max, want in ((10 ** 15 - 1, [10 ** k for k in range(15)] + [10 ** 15 - 1]),
+                        (10 ** 15, [10 ** k for k in range(16)])):
+        rep = mertens.mean_and_partial_sum_checks(x_max)
+        assert [x for x, _ in rep.mertens_over_x] == want
+
