@@ -29,11 +29,15 @@ LONGEST_RUN_BITS = 6272
 LONGEST_RUN_SUBLEN = 128
 LONGEST_RUN_PROBS = (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124)
 
+MATRIX_H = 32  # rank matrices are MATRIX_H x MATRIX_H, as in NIST SP 800-22
+
 MAURER_M = 6
 MAURER_Q = 640
 MAURER_K = 233227
 MAURER_MEAN = 5.2177052
 MAURER_SIGMA = 0.0020213
+
+ENTROPY_M = 4  # approximate entropy compares m- and (m+1)-bit words
 
 DEFAULT_TEMPLATE = np.array([0, 0, 1, 0, 1, 1, 0, 1], dtype=np.uint8)
 
@@ -252,22 +256,16 @@ def matrix_rank_probability_exact(h: int, r: int) -> Fraction:
     return prob
 
 
-def matrix_rank(block, h: int = 32) -> TestResult:
-    """Rank classes (h, h-1, lower) of disjoint h x h binary matrices."""
-    # h = 1 has no "rest" class (rank below h - 1), so its chi-square is undefined
-    if not 2 <= h <= 64:
-        raise ValueError(f"h must lie in 2..64 (rows are packed into uint32 or uint64), got {h}")
+def matrix_rank(block) -> TestResult:
+    """Rank classes (32, 31, lower) of disjoint 32 x 32 binary matrices."""
+    h = MATRIX_H
     bits = _as_bits(block)
-    _require(bits, 38 * h * h, f"matrix_rank h={h}")
+    _require(bits, 38 * h * h, "matrix_rank")
     n_mats = bits.size // (h * h)
     mats = bits[:n_mats * h * h].reshape(n_mats, h, h)
-    packed = np.packbits(mats, axis=2, bitorder="little")
-    # each row as one little-endian word whose bit j is column j; uint32
-    # halves the elimination's memory traffic where it holds a row
-    width = 4 if h <= 32 else 8
-    padded = np.pad(packed, ((0, 0), (0, 0), (0, width - packed.shape[2])))
-    rows_int = padded.view(f"<u{width}")[..., 0]
-    ranks = np.bincount(_gf2_ranks(rows_int, h), minlength=h + 1)
+    # each row as one little-endian uint32 whose bit j is column j
+    rows = np.packbits(mats, axis=2, bitorder="little").view("<u4")[..., 0]
+    ranks = np.bincount(_gf2_ranks(rows, h), minlength=h + 1)
     c_full, c_one = int(ranks[h]), int(ranks[h - 1])
     p_full = matrix_rank_probability(h, h)
     p_one = matrix_rank_probability(h, h - 1)
@@ -304,9 +302,9 @@ def is_aperiodic(template: np.ndarray) -> bool:
                for s in range(1, m))
 
 
-def nonoverlapping_template(block, template=DEFAULT_TEMPLATE, n_sub: int = 80,
-                            sub_len: int = 80) -> TestResult:
-    """Occurrences of an aperiodic pattern, sliding 1 on miss and m on hit."""
+def nonoverlapping_template(block, template, n_sub: int, sub_len: int) -> TestResult:
+    """Occurrences of an aperiodic pattern, sliding 1 on miss and m on hit,
+    in each of n_sub sub-blocks of sub_len bits."""
     template = _as_bits(template)
     if template.size == 0:
         raise ValueError("template must hold at least one bit")
@@ -385,10 +383,9 @@ def entropy_phi(block, m: int) -> float:
     return _phi(_word_counts(np.concatenate([bits, bits[:m - 1]]), m, 1), bits.size)
 
 
-def approximate_entropy(block, m: int = 4) -> TestResult:
-    """Entropy gap of overlapping m- vs (m+1)-bit pattern frequencies."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+def approximate_entropy(block) -> TestResult:
+    """Entropy gap of overlapping 4- vs 5-bit pattern frequencies (m = 4)."""
+    m = ENTROPY_M
     bits = _as_bits(block)
     _require(bits, 2 ** (m + 5), f"entropy m={m}")
     n = bits.size
@@ -497,11 +494,11 @@ TESTS = {
     **{f"serial_m{m}": lambda b, s, i, m=m: [serial_frequency(b, m)] for m in (2, 3, 4, 5)},
     "oscillation": lambda b, s, i: [oscillation(b)],
     "longest_run": lambda b, s, i: [longest_run_of_ones(b)],
-    "matrix_rank": lambda b, s, i: [matrix_rank(b, 32)],
+    "matrix_rank": lambda b, s, i: [matrix_rank(b)],
     "spectral": lambda b, s, i: [spectral_dft(b[:b.size - b.size % 2])],
     "template": lambda b, s, i: [nonoverlapping_template(b, DEFAULT_TEMPLATE, 80, 1024)],
     "maurer": lambda b, s, i: [maurer_universal(b)],
-    "entropy": lambda b, s, i: [approximate_entropy(b, 4)],
+    "entropy": lambda b, s, i: [approximate_entropy(b)],
     "cumsum": lambda b, s, i: [cumulative_sums(b)],
     "excursions": lambda b, s, i: random_excursions(b),
     # namespaced substream so reference bits never collide with

@@ -26,6 +26,9 @@ class UnsupportedModulusError(ValueError):
 
 def smallest_primitive_root(q: int) -> int:
     """Smallest generator of the multiplicative group mod prime q."""
+    if not is_prime(q):
+        raise UnsupportedModulusError(
+            f"modulus {q} is not prime; only prime moduli are supported")
     if q == 2:
         return 1
     phi = q - 1
@@ -55,7 +58,6 @@ class CharacterTable:
     phi: int
     generator: int
     values: np.ndarray  # complex128, shape (q-1, q)
-    principal_index: int = 0
 
     def chi(self, j: int) -> np.ndarray:
         return self.values[j]
@@ -63,13 +65,10 @@ class CharacterTable:
 
 def character_table(q: int) -> CharacterTable:
     phi = q - 1
-    # the budget check is O(1); is_prime sieves up to sqrt(q)
+    # the budget check is O(1); smallest_primitive_root sieves up to sqrt(q)
     if q > 1 and phi * q > MAX_WINDOW:
         raise SegmentBudgetError(
             f"character table of {phi} x {q} values exceeds budget {MAX_WINDOW}")
-    if not is_prime(q):
-        raise UnsupportedModulusError(
-            f"modulus {q} is not prime; only prime moduli are supported")
     g = smallest_primitive_root(q)
     dlog = np.zeros(q, dtype=np.int64)
     acc = 1
@@ -107,10 +106,9 @@ def _verify_axioms(table: CharacterTable) -> None:
     if np.abs(prod - direct).max() > 1e-9:
         raise AssertionError("multiplicativity violated")
     sums = v[:, 1:].sum(axis=1)
-    if abs(sums[table.principal_index] - phi) > 1e-9:
+    if abs(sums[0] - phi) > 1e-9:
         raise AssertionError("principal row does not sum to phi(q)")
-    others = np.delete(sums, table.principal_index)
-    if others.size and np.abs(others).max() > 1e-9:
+    if phi > 1 and np.abs(sums[1:]).max() > 1e-9:
         raise AssertionError("non-principal row sum does not vanish")
     orders = v[:, 1:] ** phi
     if np.abs(orders - 1.0).max() > 1e-8:

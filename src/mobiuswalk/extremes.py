@@ -160,58 +160,45 @@ class FitReport:
     n_samples: int
 
 
-def _binned_fit(obs: np.ndarray, probs: np.ndarray, sample_moments: tuple,
+def _binned_fit(u: np.ndarray, probs: np.ndarray, base: np.ndarray,
                 reference_moments: tuple) -> FitReport:
-    # Pearson test over the bins that expect at least 5 of the samples
+    """Pearson test of samples u, scaled to [0, 1], against the weights probs
+    of _FIT_BINS equal bins, over the bins that expect at least 5 samples;
+    the sample moments are the means of base^j beside the reference ones."""
+    if u.size < _FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {_FIT_MIN_SAMPLES} samples, got {u.size}")
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise ValueError("samples must lie in the law's support")
+    obs = np.bincount(np.clip((u * _FIT_BINS).astype(np.int64), 0, _FIT_BINS - 1),
+                      minlength=_FIT_BINS)
     n = int(obs.sum())
     expected = probs * n
     keep = expected >= 5.0
     dof = int(keep.sum()) - 1
     chi2, p = chi2_test(obs[keep], expected[keep], dof)
+    sample_moments = tuple(float(np.mean(base ** j))
+                           for j in range(1, len(reference_moments) + 1))
     return FitReport(chi2, dof, p, sample_moments, reference_moments, n)
 
 
-def arcsine_compare(samples, T: int | None = None) -> FitReport:
-    """Chi-square of t_min/T samples against the arcsine law.
+def arcsine_compare(samples, T: int) -> FitReport:
+    """Chi-square of t_min/T samples against the exact finite-T law of the
+    argmin time, whose continuum limit is the arcsine law.
 
-    With T given the expected bin weights use the exact discrete law of the
-    finite walk (the arcsine density is its continuum limit); without T
-    they integrate the continuum density.  Sample moments are always
-    reported against the continuum values.
+    Sample moments are reported against the continuum values.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size < _FIT_MIN_SAMPLES:
-        raise ValueError(f"need at least {_FIT_MIN_SAMPLES} samples, got {x.size}")
-    if np.any((x < 0) | (x > 1)):
-        raise ValueError("samples must lie in [0, 1]")
-    if T is not None and T < 1:
+    if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if T is None:
-        edges = np.linspace(0.0, 1.0, _FIT_BINS + 1)
-        cdf = (2.0 / pi) * np.arcsin(np.sqrt(edges))
-        probs = np.diff(cdf)
-    else:
-        pmf = discrete_argmin_pmf(T)
-        idx = np.clip((np.arange(T + 1) / T * _FIT_BINS).astype(np.int64), 0, _FIT_BINS - 1)
-        probs = np.bincount(idx, weights=pmf, minlength=_FIT_BINS)
-    obs = np.bincount(np.clip((x * _FIT_BINS).astype(np.int64), 0, _FIT_BINS - 1),
-                      minlength=_FIT_BINS)
-    return _binned_fit(obs, probs, tuple(float(np.mean(x ** j)) for j in range(1, 7)),
-                       ARCSINE_MOMENTS)
+    x = np.asarray(samples, dtype=np.float64)
+    idx = np.clip((np.arange(T + 1) / T * _FIT_BINS).astype(np.int64), 0, _FIT_BINS - 1)
+    probs = np.bincount(idx, weights=discrete_argmin_pmf(T), minlength=_FIT_BINS)
+    return _binned_fit(x, probs, x, ARCSINE_MOMENTS)
 
 
 def tau_compare(samples) -> FitReport:
-    """Chi-square of tau/T samples against the Mori scaling density."""
+    """Chi-square of tau/T samples, in [-1, 1], against the Mori scaling density."""
     x = np.asarray(samples, dtype=np.float64)
-    if x.size < _FIT_MIN_SAMPLES:
-        raise ValueError(f"need at least {_FIT_MIN_SAMPLES} samples, got {x.size}")
-    if np.any((x < -1) | (x > 1)):
-        raise ValueError("samples must lie in [-1, 1]")
-    probs = _mori_bin_probs()
-    idx = np.clip(((x + 1.0) / 2.0 * _FIT_BINS).astype(np.int64), 0, _FIT_BINS - 1)
-    ax = np.abs(x)
-    return _binned_fit(np.bincount(idx, minlength=_FIT_BINS), probs,
-                       tuple(float(np.mean(ax ** j)) for j in range(1, _TAU_MAX_ORDER + 1)),
+    return _binned_fit((x + 1.0) / 2.0, _mori_bin_probs(), np.abs(x),
                        tuple(v for _, v in tau_moment_table(_TAU_MAX_ORDER)))
 
 

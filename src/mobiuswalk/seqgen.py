@@ -180,9 +180,7 @@ def iter_mobius(lo: int, hi: int, want_omega: bool = False) -> Iterator[tuple]:
 
 def mobius_range(lo: int, hi: int) -> np.ndarray:
     """Exact mu values on [lo, hi) as one int8 array: entry m - lo is mu(m)."""
-    if not 1 <= lo < hi:
-        raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    if hi - lo > MAX_WINDOW:
+    if hi - lo > MAX_WINDOW:  # iter_mobius checks 1 <= lo < hi
         raise SegmentBudgetError(
             f"window of {hi - lo} integers exceeds budget {MAX_WINDOW}; "
             "use iter_mobius to stream")

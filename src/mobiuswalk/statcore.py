@@ -145,7 +145,7 @@ class ProportionReport:
         return self.interval.contains(self.proportion)
 
 
-def proportion_check(pvalues, alpha: float = DEFAULT_ALPHA) -> ProportionReport:
+def proportion_check(pvalues, alpha: float) -> ProportionReport:
     """Pass rate of the P-values against its confidence interval."""
     values = [float(p) for p in pvalues]
     n = len(values)

@@ -51,8 +51,8 @@ def test_serial_frequency():
 
 def _counts_by_codes(bits, m, step):
     """Counts of the m-bit words at bits 0, step, 2 step, ... coded one by one:
-    the route of serial_frequency (step m) and approximate_entropy (step 1)
-    before packed word counts, kept as their oracle."""
+    the route of serial_frequency (step m) and entropy_phi and
+    approximate_entropy (step 1) before packed word counts, kept as their oracle."""
     if step == m:
         n_tuples = bits.size // m
         words = bits[:n_tuples * m].reshape(n_tuples, m)
@@ -70,7 +70,12 @@ def _serial_frequency_by_codes(bits, m):
                          chi2, chi2_pvalue(chi2, 2 ** m - 1))
 
 
-def _approximate_entropy_by_codes(bits, m):
+def _entropy_phi_by_codes(bits, m):
+    return bt._phi(_counts_by_codes(np.concatenate([bits, bits[:m - 1]]), m, 1), bits.size)
+
+
+def _approximate_entropy_by_codes(bits):
+    m = bt.ENTROPY_M
     n = bits.size
     counts_m1 = _counts_by_codes(np.concatenate([bits, bits[:m]]), m + 1, 1)
     phi_m = bt._phi(counts_m1.reshape(-1, 2).sum(axis=1), n)
@@ -107,10 +112,11 @@ def test_serial_frequency_matches_codes(m, extra, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.integers(1, 9), extra=st.integers(0, 700), seed=st.integers(0, 2 ** 32 - 1))
+@given(m=st.integers(1, 10), extra=st.integers(0, 700), seed=st.integers(0, 2 ** 32 - 1))
 def test_entropy_matches_codes(m, extra, seed):
+    # every width of _word_counts' step-1 route: packed pairs up to m = 9, codes above
     bits = fair_bits(seed, 2 ** (m + 5) + extra)
-    assert repr(bt.approximate_entropy(bits, m)) == repr(_approximate_entropy_by_codes(bits, m))
+    assert bt.entropy_phi(bits, m) == _entropy_phi_by_codes(bits, m)
 
 
 def test_serial_and_entropy_match_codes_long():
@@ -118,7 +124,7 @@ def test_serial_and_entropy_match_codes_long():
         bits = fair_bits(n, n)
         for m in (2, 3, 4, 5):
             assert repr(bt.serial_frequency(bits, m)) == repr(_serial_frequency_by_codes(bits, m))
-        assert repr(bt.approximate_entropy(bits, 4)) == repr(_approximate_entropy_by_codes(bits, 4))
+        assert repr(bt.approximate_entropy(bits)) == repr(_approximate_entropy_by_codes(bits))
 
 
 def test_oscillation():
@@ -225,18 +231,12 @@ def test_matrix_rank_asymptotic_probs():
 
 def test_matrix_rank_test():
     bits = fair_bits(5, 10 ** 5)
-    res = bt.matrix_rank(bits, 32)
+    res = bt.matrix_rank(bits)
+    assert res.params == {"H": 32, "matrices": 97}
     assert res.aux["full"] + res.aux["minus_one"] + res.aux["rest"] == 97
     assert res.p_value > 1e-6
-    res10 = bt.matrix_rank(fair_bits(6, 10 ** 5), 10)
-    assert res10.params["H"] == 10
     with pytest.raises(ValueError):
-        bt.matrix_rank(np.ones(100, dtype=np.uint8), 32)
-    with pytest.raises(ValueError, match="2..64"):
-        bt.matrix_rank(fair_bits(6, 38 * 65 * 65), 65)
-    # h = 1 has no "rest" class, so its chi-square would be undefined
-    with pytest.raises(ValueError, match="2..64"):
-        bt.matrix_rank(fair_bits(6, 1000), 1)
+        bt.matrix_rank(np.ones(100, dtype=np.uint8))
 
 
 def _stress_rows(rng, h, n):
@@ -266,15 +266,14 @@ def test_gf2_ranks_match_loop(h, seed):
     assert min(want) == 0  # the zero matrix is in the batch
 
 
-@pytest.mark.parametrize("h", [32, 33])
-def test_matrix_rank_classes_match_loop(h):
-    # h = 32 is the widest matrix packed into uint32 rows, h = 33 the narrowest in uint64
+def test_matrix_rank_classes_match_loop():
+    h = bt.MATRIX_H
     bits = fair_bits(h, 60 * h * h + 17)
     bits[:4 * h * h] = 0  # four zero matrices
     bits[4 * h * h:5 * h * h] = np.tile(bits[5 * h * h:5 * h * h + h], h)  # rank 1
     mats = bits[:60 * h * h].reshape(60, h, h)
     ranks = [bt.gf2_rank([int("".join(map(str, row)), 2) for row in mat]) for mat in mats.tolist()]
-    res = bt.matrix_rank(bits, h)
+    res = bt.matrix_rank(bits)
     assert res.params["matrices"] == 60
     assert res.aux == {"full": ranks.count(h), "minus_one": ranks.count(h - 1),
                        "rest": sum(r < h - 1 for r in ranks)}
@@ -442,11 +441,11 @@ def test_entropy_toy_example():
 def test_entropy_counts_match_phi():
     # phi_m and phi_m1 come from one set of (m+1)-bit counts; entropy_phi
     # counts each width on its own
-    for m in range(1, 8):
-        bits = fair_bits(100 + m, 2 ** (m + 5) + 37 * m)
-        res = bt.approximate_entropy(bits, m)
-        assert res.aux["phi_m"] == bt.entropy_phi(bits, m)
-        assert res.aux["phi_m1"] == bt.entropy_phi(bits, m + 1)
+    for k in range(1, 8):
+        bits = fair_bits(100 + k, 2 ** 9 + 37 * k)
+        res = bt.approximate_entropy(bits)
+        assert res.aux["phi_m"] == bt.entropy_phi(bits, 4)
+        assert res.aux["phi_m1"] == bt.entropy_phi(bits, 5)
 
 
 def test_entropy_phi_rejects_bad_input():
@@ -463,12 +462,13 @@ def test_entropy_phi_rejects_bad_input():
 
 def test_entropy_statistic():
     bits = fair_bits(13, 10 ** 5)
-    res = bt.approximate_entropy(bits, 4)
+    res = bt.approximate_entropy(bits)
+    assert res.params == {"m": 4, "n": 10 ** 5}
     # for random data the entropy gap approaches log 2
     assert abs(res.aux["apen"] - math.log(2)) < 0.001
     assert res.p_value > 1e-6
     zeros = np.zeros(2 ** 10, dtype=np.uint8)
-    res = bt.approximate_entropy(zeros, 4)
+    res = bt.approximate_entropy(zeros)
     assert res.statistic == pytest.approx(2 * 2 ** 10 * math.log(2))
     assert res.p_value < 1e-10
 
@@ -590,7 +590,7 @@ def test_degenerate_inputs_rejected():
     # an empty template is vacuously aperiodic and would count no hits
     with pytest.raises(ValueError, match="at least one bit"):
         bt.nonoverlapping_template(np.ones(10000, dtype=np.uint8),
-                                   np.zeros(0, dtype=np.uint8))
+                                   np.zeros(0, dtype=np.uint8), 8, 1024)
 
 
 def test_run_battery_counts_and_determinism():

@@ -7,7 +7,8 @@ the uniformity report hash before the chi-square tails were unified, the
 `gen` file hashes before the sieve traded division for log sums (the
 two-segment one before mu lost its masked stores), the
 alpha = 0.05 report and `extremes` hashes before the significance level
-left the P-value type and the CSV writers were merged)
+left the P-value type and the CSV writers were merged, the tau moment
+table hash before the arcsine and tau fits shared one front end)
 and pins behaviour for later performance work: a faster path that changes
 any JSONL, CSV or MSF byte fails here.
 """
@@ -33,6 +34,8 @@ TABLE_SHA256 = {
     "omega": "8dffa84e13d71ff7567db0eb1d0cad59caefcf849212709c887e676e30804b53",
     "divisor": "caa6919067d40b38ea3b74864a97ac1476653f84560d4cb252652d7e27cbfce5",
 }
+# `tables --which tau`
+TAU_TABLE_SHA256 = "be9e3e7dfaa2018974e9b7c76aaf9e274c37af3799437f52543cab79cc1d9fce"
 
 # `extremes --segments 1000 --seg-len 1000 --out x` on `gen --count 1100000`
 EXTREMES_SHA256 = {
@@ -111,6 +114,12 @@ def test_sequence_table_bytes(tmp_path, which):
     out = tmp_path / f"{which}.csv"
     assert cli.main(["tables", "--which", which, "--n", "1e6", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_SHA256[which]
+
+
+def test_tau_table_bytes(tmp_path):
+    out = tmp_path / "tau.csv"
+    assert cli.main(["tables", "--which", "tau", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TAU_TABLE_SHA256
 
 
 @pytest.mark.parametrize("start, count", sorted(GEN_SHA256))

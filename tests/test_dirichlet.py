@@ -16,7 +16,7 @@ def test_character_table_q5():
     found = any(np.allclose(np.r_[table.values[j, 1:], table.values[j, 0]], target)
                 for j in range(4))
     assert found
-    principal = table.values[table.principal_index]
+    principal = table.values[0]
     assert np.allclose(principal[1:], 1.0)
     assert principal[0] == 0
 
@@ -71,6 +71,15 @@ def test_smallest_primitive_root():
         assert orders[-1] == q - 1 and max(orders[:-1], default=0) < q - 1
 
 
+def test_smallest_primitive_root_rejects_composite():
+    # 8, 15 and 21 have no primitive root, and 4 and 9 have one of order
+    # phi(q) < q - 1; 1 is not prime either
+    for q in (1, 4, 8, 9, 15, 21):
+        with pytest.raises(dirichlet.UnsupportedModulusError):
+            dirichlet.smallest_primitive_root(q)
+    assert dirichlet.smallest_primitive_root(2) == 1
+
+
 def test_character_table_budget(monkeypatch):
     # the least prime whose (q - 1) x q table exceeds the window budget; the
     # table would take 1 GiB, and it must be refused before any of it exists
@@ -103,7 +112,7 @@ def test_gauss_sums():
     for j in range(1, table5.phi):
         assert abs(abs(gauss_sum(table5.chi(j), 5)) ** 2 - 5) < 1e-10
     # principal character: geometric sum of all q-th roots minus one term
-    g1 = gauss_sum(table5.chi(table5.principal_index), 5)
+    g1 = gauss_sum(table5.chi(0), 5)
     assert abs(g1 - (-1)) < 1e-10
     table7 = dirichlet.character_table(7)
     for j in range(1, table7.phi):

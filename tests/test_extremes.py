@@ -131,16 +131,18 @@ def test_discrete_argmin_pmf_brute_force():
 
 
 def test_arcsine_compare_synthetic():
-    # inverse-CDF sampler of the exact arcsine law
+    # inverse-CDF sampler of the arcsine law, the limit of the finite-T law
+    # that a large T follows closely
     rng = np.random.default_rng(123)
+    T = 10 ** 6
     passes = 0
     for trial in range(40):
         u = rng.uniform(0, 1, 5000)
         x = np.sin(math.pi * u / 2.0) ** 2
-        rep = extremes.arcsine_compare(x)
+        rep = extremes.arcsine_compare(x, T)
         passes += rep.p_value >= 0.01
     assert passes >= 39
-    rep = extremes.arcsine_compare(np.sin(math.pi * rng.uniform(0, 1, 20000) / 2) ** 2)
+    rep = extremes.arcsine_compare(np.sin(math.pi * rng.uniform(0, 1, 20000) / 2) ** 2, T)
     assert rep.reference_moments == extremes.ARCSINE_MOMENTS
     for got, want in zip(rep.sample_moments, rep.reference_moments):
         assert abs(got - want) / want < 0.03
@@ -154,8 +156,11 @@ def test_arcsine_compare_exact_null():
     t_min, _ = extremes.walk_extremes(steps)
     rep = extremes.arcsine_compare(t_min / T, T=T)
     assert rep.p_value > 0.001
-    with pytest.raises(ValueError):
-        extremes.arcsine_compare([0.5] * 10)
+    with pytest.raises(ValueError, match="at least 1000 samples"):
+        extremes.arcsine_compare([0.5] * 10, T)
+    for bad in (1.5, np.nan):
+        with pytest.raises(ValueError, match="support"):
+            extremes.arcsine_compare(np.r_[t_min / T, bad], T)
     # a walk of fewer than one step has no argmin law to compare against
     for bad in (0, -3):
         with pytest.raises(ValueError, match="T must be >= 1"):

@@ -115,7 +115,7 @@ def test_proportion_check():
     assert rep.proportion == 0.9
     assert not rep.all_inside
     with pytest.raises(ValueError):
-        statcore.proportion_check([])
+        statcore.proportion_check([], alpha=0.01)
 
 
 def test_chi2_test():
