@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -562,6 +563,7 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
 
     Tests whose minimum length exceeds a block are recorded as skipped.
     Results are deterministic for fixed seed regardless of worker count.
+    Blocks are drawn as needed, about two per worker in flight.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
@@ -576,7 +578,6 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
         # a repeat would count each block twice in the pass proportion
         if selection.count(name) > 1:
             raise ValueError(f"test {name!r} selected twice")
-    blocks = list(blocks)
 
     def run_one(item):
         idx, (start, bits) = item
@@ -590,10 +591,14 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
             out.extend((start, bits.size, res) for res in results)
         return out
 
-    report = BatteryReport(alpha=alpha)
+    report, pending = BatteryReport(alpha=alpha), deque()
     with ThreadPoolExecutor(max_workers=workers or 1) as pool:
-        for chunk in pool.map(run_one, enumerate(blocks)):
-            report.block_results.extend(chunk)
+        for item in enumerate(blocks):
+            if len(pending) == 2 * (workers or 1):
+                report.block_results.extend(pending.popleft().result())
+            pending.append(pool.submit(run_one, item))
+        for future in pending:
+            report.block_results.extend(future.result())
     report.aggregate()
     return report
 

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import battery, dirichlet, extremes, mertens, numth, seqgen
+from . import battery, dirichlet, extremes, mertens, numth, seqgen, statcore
 
 
 def _add_gen(sub):
@@ -46,7 +46,7 @@ def _add_battery(sub):
     p.add_argument("--gap", type=int, default=0, help="gap parameter")
     p.add_argument("--gap-policy", choices=("fixed", "random"), default="fixed")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=float, default=statcore.DEFAULT_ALPHA)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None, help="JSONL report path (default stdout)")
     p.set_defaults(func=cmd_battery)
@@ -103,7 +103,7 @@ def _table_rows(args):
         rows = dirichlet.progression_table(args.q, int(args.x))
     else:
         header = ("order", "theoretical")
-        rows = extremes.tau_moment_table(10)
+        rows = extremes.tau_moment_table()
     return header, rows
 
 
@@ -139,11 +139,11 @@ def cmd_extremes(args) -> int:
           "(theory 0.5908)")
     if args.out:
         header = ("x", "count", "empirical_density", "theory_density")
-        rows = extremes.histogram_rows(x, 50, (0.0, 1.0),
+        rows = extremes.histogram_rows(x, (0.0, 1.0),
                                        lambda v: 1.0 / (np.pi * np.sqrt(v * (1 - v)))
                                        if 0 < v < 1 else 0.0)
         _write_csv(args.out + "_arcsine.csv", header, rows)
-        rows = extremes.histogram_rows(tau, 50, (-1.0, 1.0), extremes._mori_f_safe)
+        rows = extremes.histogram_rows(tau, (-1.0, 1.0), extremes._mori_f_safe)
         _write_csv(args.out + "_tau.csv", header, rows)
     return 0
 

@@ -102,7 +102,7 @@ def _mori_abs_moment(order: int) -> float:
     return 2.0 * val
 
 
-def tau_moment_table(max_order: int = 10) -> list[tuple[int, float]]:
+def tau_moment_table(max_order: int = _TAU_MAX_ORDER) -> list[tuple[int, float]]:
     """Theoretical absolute moments <|tau/T|^n> by quadrature of mori_f."""
     return [(n, _mori_abs_moment(n)) for n in range(1, max_order + 1)]
 
@@ -199,19 +199,19 @@ def tau_compare(samples) -> FitReport:
     """Chi-square of tau/T samples, in [-1, 1], against the Mori scaling density."""
     x = np.asarray(samples, dtype=np.float64)
     return _binned_fit((x + 1.0) / 2.0, _mori_bin_probs(), np.abs(x),
-                       tuple(v for _, v in tau_moment_table(_TAU_MAX_ORDER)))
+                       tuple(v for _, v in tau_moment_table()))
 
 
-def histogram_rows(samples, nbins: int, domain: tuple[float, float],
-                   density_fn) -> list[tuple]:
-    """(x_mid, count, empirical_density, theory_density) rows for plots.
+def histogram_rows(samples, domain: tuple[float, float], density_fn) -> list[tuple]:
+    """(x_mid, count, empirical_density, theory_density) rows for plots,
+    one per bin of _FIT_BINS equal bins over the domain.
 
     Both raw counts and the density normalization are emitted.
     """
     x = np.asarray(samples, dtype=np.float64)
     lo, hi = domain
-    counts, edges = np.histogram(x, bins=nbins, range=domain)
-    width = (hi - lo) / nbins
+    counts, edges = np.histogram(x, bins=_FIT_BINS, range=domain)
+    width = (hi - lo) / _FIT_BINS
     mids = 0.5 * (edges[:-1] + edges[1:])
     emp = counts / (x.size * width)
     return [(float(m), int(c), float(e), float(density_fn(m)))

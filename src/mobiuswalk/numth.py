@@ -41,15 +41,13 @@ class SqfSnapshot:
 
 
 class _Tally:
-    """Running mu sum and omega histogram, whose moments give primes and omega sums."""
+    """Running omega histogram, whose moments give primes, omega sums and M."""
 
     def __init__(self):
-        self.mertens = 0
         self.class_counts = np.zeros(_MAX_OMEGA, dtype=np.int64)
 
     def add(self, mu: np.ndarray, om: np.ndarray) -> None:
         """Count a stretch of consecutive integers with these mu and omega."""
-        self.mertens += int(mu.sum(dtype=np.int64))
         # No boolean-mask gather: each integer gets one byte, its omega if
         # square-free and omega + _MAX_OMEGA, a dropped bin, if not (omega
         # <= 16).  bincount takes the bytes in pairs as uint16, so it widens
@@ -65,8 +63,9 @@ class _Tally:
 
     def snapshot(self, n: int, sqf_n: int) -> SqfSnapshot:
         cc, k = self.class_counts, np.arange(_MAX_OMEGA, dtype=np.int64)
+        # mu = (-1)^omega on square-free numbers, and the unit is in class 0
         return SqfSnapshot(n, sqf_n, int(cc[1]), int(k @ cc), int(k * k @ cc),
-                           self.mertens, cc.copy())
+                           int(cc[0::2].sum() - cc[1::2].sum()), cc.copy())
 
 
 def scan_squarefree(n: int, checkpoints: tuple = ()) -> list[SqfSnapshot]:
@@ -133,23 +132,19 @@ def constants_compute() -> Constants:
             break
         k += 1
 
-    b_const = 0.0
-    k = 2
-    while True:
-        i_k = quad(lambda t, kk=k: t ** (-kk) / log(t), 2.0, np.inf, epsabs=1e-14)[0]
-        b_const += (-1) ** k * i_k
-        if i_k < _SERIES_TOL:
-            break
-        k += 1
-
-    var_corr = 0.0
-    k = 1
-    while True:
-        i_k = quad(lambda t, kk=k: t ** (-(kk + 1)) / log(t), 2.0, np.inf, epsabs=1e-14)[0]
-        var_corr += (-1) ** (k - 1) * k * i_k
-        if k * i_k < _SERIES_TOL:
-            break
-        k += 1
+    # each I_j = int_2^inf t^-j / log t dt once; B and the correction each
+    # stop after their first term below the tolerance
+    b_const = var_corr = 0.0
+    j, b_open, corr_open = 2, True, True
+    while b_open or corr_open:
+        i_j = quad(lambda t, jj=j: t ** (-jj) / log(t), 2.0, np.inf, epsabs=1e-14)[0]
+        if b_open:
+            b_const += (-1) ** j * i_j
+            b_open = i_j >= _SERIES_TOL
+        if corr_open:
+            var_corr += (-1) ** (j - 2) * (j - 1) * i_j
+            corr_open = (j - 1) * i_j >= _SERIES_TOL
+        j += 1
 
     return Constants(a_const, b_const, a_const - b_const, var_corr)
 
@@ -178,35 +173,18 @@ def omega_stats(n: int) -> OmegaStats:
     return OmegaStats(n, mean, mean_th, var, mean_th - 1.0)
 
 
-@dataclass(frozen=True)
-class ClassCounts:
-    """Square-free numbers <= sqf_n grouped by number of prime factors.
+def class_counts(n: int) -> np.ndarray:
+    """The omega classes of the first n square-free numbers (Erdos-Kac).
 
-    counts[k] is N_k for k >= 1; counts[0] = 1 accounts for the unit,
-    which carries mu = +1 and therefore joins the even (n_plus) side.
-    These classes carry the paper's Erdos-Kac law for square-free numbers;
+    Entry k is N_k, the count with k prime factors; entry 0 = 1 is the
+    unit, which carries mu = +1 and so joins the even classes.  These
+    classes carry the paper's Erdos-Kac law for square-free numbers;
     `poisson_fit` is the check of that law beyond the mean and variance.
     """
-
-    n: int
-    counts: np.ndarray
-    n_plus: int
-    n_minus: int
-
-    @property
-    def alternating_sum(self) -> int:
-        return self.n_plus - self.n_minus
-
-
-def class_counts(n: int) -> ClassCounts:
-    """The omega classes of the first n square-free numbers (Erdos-Kac)."""
     cc = scan_squarefree(n)[-1].class_counts
     # the classes run to the last non-empty one: the smallest square-free
     # number with k prime factors is the k-th primorial, so none is empty
-    counts = cc[:np.flatnonzero(cc)[-1] + 1]
-    evens = int(counts[0::2].sum())
-    odds = int(counts[1::2].sum())
-    return ClassCounts(n, counts, evens, odds)
+    return cc[:np.flatnonzero(cc)[-1] + 1]
 
 
 @dataclass(frozen=True)
@@ -221,7 +199,7 @@ class PoissonFit:
     expected: tuple
 
 
-def poisson_fit(cc: ClassCounts, lam: float) -> PoissonFit:
+def poisson_fit(counts: np.ndarray, lam: float) -> PoissonFit:
     """Goodness of the shifted Poisson model P(k) = lam^(k-1) e^-lam/(k-1)!.
 
     Only categories with expected count >= 5 enter the chi-square; the
@@ -231,12 +209,12 @@ def poisson_fit(cc: ClassCounts, lam: float) -> PoissonFit:
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    ks, obs, exp = [], [], []
-    for k in range(1, cc.counts.size):
-        e = cc.n * math.exp(-lam) * lam ** (k - 1) / math.factorial(k - 1)
+    n, ks, obs, exp = int(counts.sum()), [], [], []
+    for k in range(1, counts.size):
+        e = n * math.exp(-lam) * lam ** (k - 1) / math.factorial(k - 1)
         if e >= 5.0:
             ks.append(k)
-            obs.append(int(cc.counts[k]))
+            obs.append(int(counts[k]))
             exp.append(e)
     if not ks:
         raise ValueError("all expected class counts below 5; fit is degenerate")

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -649,6 +650,32 @@ def test_block_source_error_propagates():
     for workers in (1, 2):
         with pytest.raises(RuntimeError, match="block source failed"):
             bt.run_battery_on_blocks(blocks(), selection=("monobit",), workers=workers)
+
+
+def test_blocks_stream_through_the_workers(monkeypatch):
+    # the source is drawn as the workers need it: no draw runs more than
+    # the window of 2 * workers blocks, plus the one being drawn, ahead of
+    # the blocks whose tests finished
+    finished, lock = [0], threading.Lock()
+    monobit = bt.TESTS["monobit"]
+
+    def counted(*args):
+        results = monobit(*args)
+        with lock:
+            finished[0] += 1
+        return results
+    monkeypatch.setitem(bt.TESTS, "monobit", counted)
+    for workers in (1, 2, 3):
+        finished[0], ahead = 0, []
+
+        def blocks():
+            for drawn, block in enumerate(bt.fair_coin_blocks(3, 40, 1000), 1):
+                ahead.append(drawn - finished[0])
+                yield block
+        rep = bt.run_battery_on_blocks(blocks(), selection=("monobit",), workers=workers)
+        assert [start for start, _, _ in rep.block_results] == [i * 1000 for i in range(40)]
+        assert len(ahead) == 40
+        assert max(ahead) <= 2 * workers + 1, workers
 
 
 def test_selection_checked_before_any_block():

@@ -8,7 +8,8 @@ the uniformity report hash before the chi-square tails were unified, the
 two-segment one before mu lost its masked stores), the
 alpha = 0.05 report and `extremes` hashes before the significance level
 left the P-value type and the CSV writers were merged, the tau moment
-table hash before the arcsine and tau fits shared one front end)
+table hash before the arcsine and tau fits shared one front end, the
+numth reprs hash before the omega histogram became the scan's only tally)
 and pins behaviour for later performance work: a faster path that changes
 any JSONL, CSV or MSF byte fails here.
 """
@@ -19,7 +20,7 @@ import json
 
 import pytest
 
-from mobiuswalk import battery, cli
+from mobiuswalk import battery, cli, numth
 
 BATTERY_SHA256 = "f03eab5ae3baa1643761dd0a42e3004b09615a26241dadc3679dd94fabb43102"
 # 60 blocks reach UNIFORMITY_MIN_SIZE, so the summary carries uniformity_pbar
@@ -43,6 +44,10 @@ EXTREMES_SHA256 = {
     "x_arcsine.csv": "23314bb4306c422a4a9a68af9f2f3c8008818954a6b4f7eaed010fef66c9c37d",
     "x_tau.csv": "08d46b5e572de5f6d86cd202b762279f1e65fff3a1df44970598eaccc35eb97c",
 }
+
+# reprs of the log log constants, checkpointed snapshots, omega classes,
+# their Poisson fit and the omega table (`test_numth_reprs`)
+NUMTH_SHA256 = "294d0d73a11ff3c58d1593a93d71482110aee9daa31732ba8b65efd307aa18a6"
 
 # `gen --start S --count N`
 GEN_SHA256 = {
@@ -128,3 +133,20 @@ def test_gen_file_bytes(tmp_path, start, count):
     assert cli.main(["gen", "--start", str(start), "--count", str(count),
                      "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_SHA256[start, count]
+
+
+def test_numth_reprs():
+    n = 10 ** 6
+    cc = numth.class_counts(n)
+    reprs = [repr(numth.constants_compute()),
+             *map(repr, numth.scan_squarefree(n, checkpoints=(1, 2, 7, 123, 4567, 99999,
+                                                              500000))),
+             # the histogram itself, or the `counts` field of the record that
+             # carried it before, so the pin reads the same bytes from either
+             repr(getattr(cc, "counts", cc)),
+             repr(numth.poisson_fit(cc, numth.omega_stats(n).lam)),
+             repr(numth.omega_table([10, 100, 1000, 5000, 10 ** 4, 5 * 10 ** 4, 10 ** 5,
+                                     3 * 10 ** 5, 7 * 10 ** 5, n]))]
+    assert len(reprs) == 12
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == NUMTH_SHA256

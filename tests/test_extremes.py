@@ -181,9 +181,9 @@ def test_tau_compare_synthetic_walks():
 
 
 def test_histogram_rows():
-    rows = extremes.histogram_rows(np.linspace(0.01, 0.99, 1000), 10, (0.0, 1.0),
+    rows = extremes.histogram_rows(np.linspace(0.01, 0.99, 1000), (0.0, 1.0),
                                    lambda v: 1.0)
-    assert len(rows) == 10
+    assert len(rows) == 50
     assert sum(r[1] for r in rows) == 1000
-    total = sum(r[2] for r in rows) * 0.1
+    total = sum(r[2] for r in rows) * 0.02
     assert total == pytest.approx(1.0)

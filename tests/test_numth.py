@@ -83,14 +83,12 @@ def test_tally_matches_compaction(lo, width, seed):
         stretches += [(mu, om) for _, _, mu, om in
                       seqgen.iter_mobius(lo, lo + width, want_omega=True)]
     stretches += [(mu[1:], om[1:]) for mu, om in stretches]
-    tally, mertens_sum = numth._Tally(), 0
+    tally = numth._Tally()
     want = np.zeros(numth._MAX_OMEGA, dtype=np.int64)
     for mu, om in stretches:
         tally.add(mu, om)
         want += np.bincount(om[mu != 0], minlength=numth._MAX_OMEGA)
-        mertens_sum += int(mu.sum(dtype=np.int64))
     assert np.array_equal(tally.class_counts, want)
-    assert tally.mertens == mertens_sum
 
 
 def test_constants():
@@ -112,12 +110,8 @@ def test_omega_stats():
 
 def test_class_counts_small():
     cc = numth.class_counts(7)  # square-free up to 10
-    assert cc.counts[0] == 1  # the unit
-    assert cc.counts[1] == 4  # 2, 3, 5, 7
-    assert cc.counts[2] == 2  # 6, 10
-    assert int(cc.counts.sum()) == 7
-    assert cc.n_plus + cc.n_minus == 7
-    assert cc.alternating_sum == 1 - 4 + 2
+    assert cc.tolist() == [1, 4, 2]  # the unit; 2, 3, 5, 7; 6, 10
+    assert int(cc[0::2].sum() - cc[1::2].sum()) == mertens.mertens_restricted(7) == -1
 
 
 def test_class_counts_end_at_last_primorial():
@@ -126,7 +120,7 @@ def test_class_counts_end_at_last_primorial():
     primorials = np.cumprod([2, 3, 5, 7, 11, 13, 17, 19], dtype=np.int64)
     for n in [*range(1, 401), 10 ** 4, 10 ** 5, 123457, 10 ** 6]:
         width = int(np.searchsorted(primorials, seqgen.nth_squarefree(n), "right"))
-        assert numth.class_counts(n).counts.size - 1 == width, n
+        assert numth.class_counts(n).size - 1 == width, n
 
 
 def test_class_counts_partition_identity():
@@ -146,18 +140,17 @@ def test_poisson_fit():
     counts[0] = 1
     for k in range(1, 12):
         counts[k] = round(n * math.exp(-lam) * lam ** (k - 1) / math.factorial(k - 1))
-    cc = numth.ClassCounts(int(counts.sum()), counts, 0, 0)
-    fit = numth.poisson_fit(cc, lam)
+    fit = numth.poisson_fit(counts, lam)
     assert fit.chi2 < 0.01  # rounding residue only
     assert fit.p_value > 0.999
     with pytest.raises(ValueError):
-        numth.poisson_fit(cc, -1.0)
+        numth.poisson_fit(counts, -1.0)
 
 
 def test_poisson_most_probable_class():
     st = numth.omega_stats(10 ** 6)
     cc = numth.class_counts(10 ** 6)
-    assert int(np.argmax(cc.counts[1:])) + 1 == int(st.mean_observed) + 1
+    assert int(np.argmax(cc[1:])) + 1 == int(st.mean_observed) + 1
 
 
 def test_poisson_limit_matches_prime_probability():
