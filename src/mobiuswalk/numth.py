@@ -132,8 +132,7 @@ def constants_compute() -> Constants:
             break
         k += 1
 
-    # each I_j = int_2^inf t^-j / log t dt once; B and the correction each
-    # stop after their first term below the tolerance
+    # I_j = int_2^inf t^-j / log t dt is a term of both B and the correction
     b_const = var_corr = 0.0
     j, b_open, corr_open = 2, True, True
     while b_open or corr_open:
