@@ -558,7 +558,7 @@ class BatteryReport:
 
 def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
                           alpha: float = DEFAULT_ALPHA,
-                          workers: int | None = None) -> BatteryReport:
+                          workers: int = 1) -> BatteryReport:
     """Apply the selected tests to (start, bits) blocks and aggregate.
 
     Tests whose minimum length exceeds a block are recorded as skipped.
@@ -567,7 +567,7 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     selection = list(selection)
     if not selection:
@@ -592,9 +592,9 @@ def run_battery_on_blocks(blocks, selection=DEFAULT_SELECTION, seed: int = 0,
         return out
 
     report, pending = BatteryReport(alpha=alpha), deque()
-    with ThreadPoolExecutor(max_workers=workers or 1) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for item in enumerate(blocks):
-            if len(pending) == 2 * (workers or 1):
+            if len(pending) == 2 * workers:
                 report.block_results.extend(pending.popleft().result())
             pending.append(pool.submit(run_one, item))
         for future in pending:
@@ -610,7 +610,7 @@ def blocks_from_ensemble(ens: Ensemble, seq: BitSequence):
 
 def run_battery(ens: Ensemble, seq: BitSequence, selection=DEFAULT_SELECTION,
                 seed: int = 0, alpha: float = DEFAULT_ALPHA,
-                workers: int | None = None) -> BatteryReport:
+                workers: int = 1) -> BatteryReport:
     return run_battery_on_blocks(blocks_from_ensemble(ens, seq), selection,
                                  seed, alpha, workers)
 

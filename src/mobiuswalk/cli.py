@@ -47,7 +47,7 @@ def _add_battery(sub):
     p.add_argument("--gap-policy", choices=("fixed", "random"), default="fixed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=statcore.DEFAULT_ALPHA)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default=None, help="JSONL report path (default stdout)")
     p.set_defaults(func=cmd_battery)
 
@@ -63,9 +63,8 @@ def cmd_battery(args) -> int:
     ens = mertens.build_ensemble(
         start, end, args.blocks, args.block_len,
         mertens.GapPolicy(args.gap_policy, args.gap), seed=args.seed)
-    workers = args.workers if args.workers is not None else os.cpu_count()
     report = battery.run_battery(ens, seq, selection, seed=args.seed,
-                                 alpha=args.alpha, workers=workers)
+                                 alpha=args.alpha, workers=args.workers)
     if not report.proportions:
         raise ValueError("no selected test ran on blocks of this length")
     if args.out:
@@ -76,10 +75,27 @@ def cmd_battery(args) -> int:
     return 0 if report.all_proportions_inside else 1
 
 
+def _marks(n: float) -> list[int]:
+    return [int(n) * k // 10 for k in range(1, 11)] if n >= 10 else [int(n)]
+
+
+# name -> (CSV header, rows of the parsed arguments)
+_TABLES = {
+    "pi": (("n", "observed", "theoretical", "relative_error"),
+           lambda args: numth.pi_table(_marks(args.n))),
+    "omega": (("n", "observed", "theoretical", "relative_error"),
+              lambda args: numth.omega_table(_marks(args.n))),
+    "divisor": (("p", "empirical", "theoretical", "relative_error"),
+                lambda args: numth.divisor_table((2, 3, 5, 7, 11, 13, 17), int(args.n))),
+    "residue": (("r", "count", "estimate", "relative_error"),
+                lambda args: dirichlet.progression_table(args.q, int(args.x))),
+    "tau": (("order", "theoretical"), lambda args: extremes.tau_moment_table()),
+}
+
+
 def _add_tables(sub):
     p = sub.add_parser("tables", help="emit reference tables as CSV")
-    p.add_argument("--which", required=True,
-                   choices=("pi", "omega", "divisor", "residue", "tau"))
+    p.add_argument("--which", required=True, choices=tuple(_TABLES))
     p.add_argument("--n", type=float, default=1e6, help="ordinal count")
     p.add_argument("--q", type=int, default=7, help="modulus for residue table")
     p.add_argument("--x", "--X", dest="x", type=float, default=5e7,
@@ -88,29 +104,10 @@ def _add_tables(sub):
     p.set_defaults(func=cmd_tables)
 
 
-def _table_rows(args):
-    if args.which in ("pi", "omega"):
-        n = int(args.n)
-        marks = [n * k // 10 for k in range(1, 11)] if n >= 10 else [n]
-        header = ("n", "observed", "theoretical", "relative_error")
-        table = numth.pi_table if args.which == "pi" else numth.omega_table
-        rows = table(marks)
-    elif args.which == "divisor":
-        header = ("p", "empirical", "theoretical", "relative_error")
-        rows = numth.divisor_table((2, 3, 5, 7, 11, 13, 17), int(args.n))
-    elif args.which == "residue":
-        header = ("r", "count", "estimate", "relative_error")
-        rows = dirichlet.progression_table(args.q, int(args.x))
-    else:
-        header = ("order", "theoretical")
-        rows = extremes.tau_moment_table()
-    return header, rows
-
-
 def cmd_tables(args) -> int:
-    header, rows = _table_rows(args)
+    header, rows = _TABLES[args.which]
     _write_csv(args.out, header, ([f"{v:.10g}" if isinstance(v, float) else v
-                                   for v in row] for row in rows))
+                                   for v in row] for row in rows(args)))
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqgen import (MAX_WINDOW, SegmentBudgetError, base_primes, is_prime, iter_mobius,
-                     squarefree_terms)
+                     mobius_prefix)
 
 _AXIOM_TOL = 1e-12
 _CLASS_BLOCK = 1 << 20  # class entries scattered at once
@@ -153,7 +153,9 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
         raise ValueError(f"x_max must be >= q, got {x_max}")
     if not is_prime(q):
         raise UnsupportedModulusError(f"modulus {q} is not prime")
-    d, mu, quotients = squarefree_terms(x_max)
+    mu = mobius_prefix(math.isqrt(x_max))[1:]
+    d = np.arange(1, mu.size + 1, dtype=np.int64)
+    quotients = x_max // (d * d)
     unit = (d % q != 0) & (mu != 0)
     mu_u = mu[unit]
     a, b = np.divmod(quotients[unit], q)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqgen import BitSequence, iter_mobius, nth_squarefree
+from .seqgen import BitSequence, iter_mobius, mobius_prefix, nth_squarefree
 
 _PARTIAL_SUM_GUARD = 1e-12  # rounding slack of the float prefix sums of mu(m)/m
 
@@ -99,10 +99,7 @@ def mertens_function(x: int) -> int:
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     u = min(x, max(math.isqrt(x), int(x ** (2 / 3))))
-    small = np.empty(u + 1, dtype=np.int32)  # small[v] = M(v); |M(v)| << 2^31
-    small[0] = 0
-    for lo, hi, mu in iter_mobius(1, u + 1):
-        small[lo:hi] = small[lo - 1] + np.cumsum(mu, dtype=np.int32)
+    small = np.cumsum(mobius_prefix(u), dtype=np.int32)  # small[v] = M(v); |M(v)| << 2^31
     big = x // (u + 1)  # x // k > u exactly for k <= big
     large = np.zeros(big + 1, dtype=np.int64)  # large[k] = M(x // k)
     for k in range(big, 0, -1):

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from math import log
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import expi, zeta
 
-from .seqgen import (PI2_OVER_6, iter_mobius, mobius_range, nth_squarefree,
+from .seqgen import (PI2_OVER_6, iter_mobius, mobius_prefix, nth_squarefree,
                      prime_count, squarefree_multiples)
 from .statcore import chi2_pvalue
 
@@ -123,14 +124,11 @@ def constants_compute() -> Constants:
     smoothed by the density 1/log t, integrated from 2.
     """
     a_const = float(np.euler_gamma)
-    mu = mobius_range(1, 129)
-    k = 2
-    while True:
+    for k in count(2):
         term = log(float(zeta(k))) / k
-        a_const += mu[k - 1] * term
+        a_const += mobius_prefix(k)[k] * term
         if term < _SERIES_TOL:
             break
-        k += 1
 
     # I_j = int_2^inf t^-j / log t dt is a term of both B and the correction
     b_const = var_corr = 0.0

@@ -51,6 +51,7 @@ class SegmentBudgetError(RuntimeError):
 
 
 _prime_cache: dict[str, np.ndarray] = {}
+_mobius_table = np.frombuffer(bytes(1), dtype=np.int8)  # mu(0..n), read-only
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -87,6 +88,8 @@ def prime_count(x: int) -> int:
     if x < 2:
         return 0
     r = isqrt(x)
+    if r > MAX_WINDOW:
+        raise SegmentBudgetError(f"sqrt({x}) = {r} exceeds budget {MAX_WINDOW}")
     k = np.arange(r + 1, dtype=np.int64)
     small = k - 1  # small[v] = S(v)
     large = np.zeros(r + 1, dtype=np.int64)
@@ -188,22 +191,30 @@ def mobius_range(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def squarefree_terms(x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d, mu(d), x // d^2) for d = 1..isqrt(x), the terms of every
-    square-free count: each m <= x is k*d^2 for d^2 | m, and mu(d) summed
-    over those d is 1 exactly when m is square-free."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    r = isqrt(x)
-    mu = mobius_range(1, r + 1).astype(np.int64)
-    d = np.arange(1, r + 1, dtype=np.int64)
-    return d, mu, x // (d * d)
+def mobius_prefix(n: int) -> np.ndarray:
+    """mu(0..n) as one read-only int8 array, mu(0) = 0, kept per process and
+    grown like `base_primes`: only the integers past its end are sieved."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n > MAX_WINDOW:
+        raise SegmentBudgetError(f"mu prefix to {n} exceeds budget {MAX_WINDOW}")
+    global _mobius_table
+    table = _mobius_table
+    if table.size <= n:
+        table = np.concatenate([table, mobius_range(table.size, n + 1)])
+        table.flags.writeable = False
+        _mobius_table = table
+    return table[:n + 1]
 
 
 def squarefree_count(x: int) -> int:
-    """Q(x): exact number of square-free integers in [1, x]."""
-    _, mu, quotients = squarefree_terms(x)
-    return int(np.sum(mu * quotients))
+    """Q(x) = sum_{d <= sqrt(x)} mu(d) (x // d^2), the number of square-free
+    m <= x: mu(d) summed over the d with d^2 | m is 1 exactly when m is."""
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    mu = mobius_prefix(isqrt(x))[1:]  # the budget check comes before d
+    d = np.arange(1, mu.size + 1, dtype=np.int64)
+    return int(mu @ (x // (d * d)))
 
 
 def squarefree_multiples(p: int, x: int) -> int:
@@ -212,14 +223,9 @@ def squarefree_multiples(p: int, x: int) -> int:
     the same count at x // p, i.e. sum_{j>=1} (-1)^(j-1) Q(x // p^j)."""
     if x < 1 or not is_prime(p):
         raise ValueError(f"need x >= 1 and p prime, got x={x}, p={p}")
-    if x < p:
-        return 0
-    # each Q(y) below sums a prefix of the terms of the first, Q(x // p)
-    d, mu, _ = squarefree_terms(x // p)
     total, sign, y = 0, 1, x // p
     while y:
-        r = isqrt(y)
-        total += sign * int(mu[:r] @ (y // (d[:r] * d[:r])))
+        total += sign * squarefree_count(y)
         sign, y = -sign, y // p
     return total
 

@@ -8,6 +8,8 @@ published values, and by property tests, with sieve-based oracles kept
 here.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,4 +132,21 @@ def test_count_arguments_rejected():
     with pytest.raises(ValueError):
         mertens.mertens_restricted(0)
     with pytest.raises(ValueError):
-        seqgen.squarefree_terms(0)
+        seqgen.squarefree_count(0)
+
+
+def test_exact_counts_over_budget_raise_before_sieving(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("sieved past the budget")
+
+    monkeypatch.setattr(seqgen, "mobius_range", no_sieve)
+    monkeypatch.setattr(seqgen, "base_primes", no_sieve)
+    with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
+        seqgen.mobius_prefix(seqgen.MAX_WINDOW + 1)
+    with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
+        mertens.mertens_function(2 ** 40)  # x^(2/3) is about 2^26.7
+    # without the check pi(2^60) would first allocate three int64 arrays of 2^30
+    start = time.perf_counter()
+    with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
+        seqgen.prime_count(2 ** 60)
+    assert time.perf_counter() - start < 1.0

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -89,18 +91,50 @@ def test_squarefree_multiples_against_strided_count():
             seqgen.squarefree_multiples(p, x)
 
 
+def spy_on_sieve(monkeypatch) -> list:
+    """Empty the process's mu table and record each mobius_range window."""
+    calls, sieve = [], seqgen.mobius_range
+    monkeypatch.setattr(seqgen, "_mobius_table", np.frombuffer(bytes(1), dtype=np.int8))
+    monkeypatch.setattr(seqgen, "mobius_range",
+                        lambda lo, hi: calls.append((lo, hi)) or sieve(lo, hi))
+    return calls
+
+
 def test_squarefree_multiples_sieves_once(monkeypatch):
-    # every Q(x // p^j) reads a prefix of the one mu table of Q(x // p)
-    calls = []
-    terms = seqgen.squarefree_terms
-    monkeypatch.setattr(seqgen, "squarefree_terms", lambda x: calls.append(x) or terms(x))
+    # every Q(x // p^j), for every p, reads a prefix of the one mu table
     sqf = seqgen.mobius_range(1, 10 ** 6 + 1) != 0
+    calls = spy_on_sieve(monkeypatch)
     for p in (2, 3, 997):
-        calls.clear()
         assert seqgen.squarefree_multiples(p, 10 ** 6) == int(sqf[p - 1::p].sum())
-        assert calls == [10 ** 6 // p]
-    calls.clear()
-    assert seqgen.squarefree_multiples(7, 6) == 0 and calls == []
+    assert calls == [(1, isqrt(10 ** 6 // 2) + 1)]
+    assert seqgen.squarefree_multiples(7, 6) == 0 and len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def prefix_oracle():
+    seg = seqgen.DEFAULT_SEGMENT
+    sizes = (1, 12, seg - 1, seg, seg + 1)
+    return {n: np.concatenate([[0], seqgen.mobius_range(1, n + 1)]) for n in sizes}
+
+
+@pytest.mark.parametrize("order", ["rising", "falling", "mixed"])
+def test_mobius_prefix(monkeypatch, prefix_oracle, order):
+    seg = seqgen.DEFAULT_SEGMENT
+    sizes = {"rising": (1, 12, seg - 1, seg, seg + 1),
+             "falling": (seg + 1, seg, seg - 1, 12, 1),
+             "mixed": (12, seg, 1, seg + 1, 12, seg - 1)}[order]
+    calls = spy_on_sieve(monkeypatch)
+    assert seqgen.mobius_prefix(0).tolist() == [0]
+    for n in sizes:
+        got = seqgen.mobius_prefix(n)
+        assert got.dtype == np.int8 and np.array_equal(got, prefix_oracle[n]), n
+        with pytest.raises(ValueError, match="read-only"):
+            got[-1] = 2
+    # the windows sieved run on from 1 without overlap: each integer once
+    assert [lo for lo, _ in calls] == [1] + [hi for _, hi in calls[:-1]]
+    assert calls[-1][1] == max(sizes) + 1
+    with pytest.raises(ValueError):
+        seqgen.mobius_prefix(-1)
 
 
 def test_nth_squarefree():
