@@ -17,7 +17,7 @@ from .seqgen import (MAX_WINDOW, SegmentBudgetError, base_primes, is_prime, iter
                      mobius_prefix)
 
 _AXIOM_TOL = 1e-12
-_CLASS_BLOCK = 1 << 20  # class entries scattered at once
+_CLASS_BLOCK = 1 << 16  # d per slice, and class entries scattered at once
 
 
 class UnsupportedModulusError(ValueError):
@@ -153,27 +153,30 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
         raise ValueError(f"x_max must be >= q, got {x_max}")
     if not is_prime(q):
         raise UnsupportedModulusError(f"modulus {q} is not prime")
-    mu = mobius_prefix(math.isqrt(x_max))[1:]
-    d = np.arange(1, mu.size + 1, dtype=np.int64)
-    quotients = x_max // (d * d)
-    unit = (d % q != 0) & (mu != 0)
-    mu_u = mu[unit]
-    a, b = np.divmod(quotients[unit], q)
-    squares = d[unit] % q * (d[unit] % q) % q
-    counts = np.full(q, mu_u @ a, dtype=np.int64)
-    counts[0] += mu[~unit] @ quotients[~unit]
+    mu_all = mobius_prefix(math.isqrt(x_max))
+    counts = np.zeros(q, dtype=np.int64)
     counts[1] -= 1  # the unit
-    ends = np.cumsum(b)
-    lo = 0
-    while lo < b.size:  # terms whose b add up to about _CLASS_BLOCK
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - b[lo] + _CLASS_BLOCK, "right")))
-        n = b[lo:hi]
-        j = np.arange(1, n.sum() + 1) - np.repeat(np.cumsum(n) - n, n)
-        classes = j * np.repeat(squares[lo:hi], n) % q
-        counts += np.bincount(classes, weights=np.repeat(mu_u[lo:hi], n),
-                              minlength=q).astype(np.int64)  # float sums of +-1 are exact
-        lo = hi
-    return counts
+    tails = np.zeros(q)  # float sums of +-1 are exact
+    for start in range(1, mu_all.size, _CLASS_BLOCK):  # temporaries of one slice of d
+        d = np.arange(start, min(start + _CLASS_BLOCK, mu_all.size), dtype=np.int64)
+        mu = mu_all[start:start + d.size]
+        quotients = x_max // (d * d)
+        unit = (d % q != 0) & (mu != 0)
+        mu_u = mu[unit]
+        a, b = np.divmod(quotients[unit], q)
+        squares = d[unit] % q * (d[unit] % q) % q
+        counts += mu_u @ a
+        counts[0] += mu[~unit] @ quotients[~unit]
+        ends = np.cumsum(b)
+        lo = 0
+        while lo < b.size:  # terms whose b add up to about _CLASS_BLOCK
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - b[lo] + _CLASS_BLOCK, "right")))
+            n = b[lo:hi]
+            j = np.arange(1, n.sum() + 1) - np.repeat(np.cumsum(n) - n, n)
+            classes = j * np.repeat(squares[lo:hi], n) % q
+            tails += np.bincount(classes, weights=np.repeat(mu_u[lo:hi], n), minlength=q)
+            lo = hi
+    return counts + tails.astype(np.int64)
 
 
 def _density_estimate(q: int, r: int, x_max: int) -> float:

@@ -28,12 +28,13 @@ from typing import Iterator
 
 import numpy as np
 
-DEFAULT_SEGMENT = 1 << 22
+DEFAULT_SEGMENT = 1 << 20  # the shortest segment; iter_mobius sets the length
 MAX_WINDOW = 1 << 26
 _STRIDE_HITS = 64
 _MIN_SCATTER = 32  # fewer steps than this are cheaper strided than scattered
 _SCATTER_STEPS = (1 << 20) // _STRIDE_HITS  # so a block scatters at most 2^20 hits
 _COMPRESS_SLICE = 1 << 16  # np.compress builds an int64 index per slice
+_TERM_SLICE = 1 << 16  # d <= sqrt(x) per int64 temporary of an exact count
 
 MAGIC = b"MSF1"
 FORMAT_VERSION = 1
@@ -50,23 +51,27 @@ class SegmentBudgetError(RuntimeError):
     """Raised when a single requested window exceeds the memory budget."""
 
 
-_prime_cache: dict[str, np.ndarray] = {}
+# Both caches are replaced whole, never changed in place: a reader (or a
+# thread) that took one sees a limit and its primes, or a table, from one build.
+_prime_cache: dict = {}  # {"limit": n, "primes": the primes <= n, read-only}
 _mobius_table = np.frombuffer(bytes(1), dtype=np.int8)  # mu(0..n), read-only
 
 
 def base_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, cached per process (grows monotonically)."""
-    cached = _prime_cache.get("primes")
-    if cached is None or _prime_cache["limit"] < limit:
+    """All primes <= limit as a read-only int64 array, cached per process."""
+    global _prime_cache
+    cache = _prime_cache
+    if cache.get("limit", -1) < limit:
         sieve = np.ones(limit + 1, dtype=bool)
         sieve[:2] = False
         for p in range(2, isqrt(limit) + 1):
             if sieve[p]:
                 sieve[p * p::p] = False
-        cached = np.nonzero(sieve)[0].astype(np.int64)
-        _prime_cache["primes"] = cached
-        _prime_cache["limit"] = limit
-    return cached[:np.searchsorted(cached, limit, side="right")].copy()
+        primes = np.nonzero(sieve)[0].astype(np.int64)
+        primes.flags.writeable = False
+        cache = _prime_cache = {"limit": limit, "primes": primes}
+    primes = cache["primes"]
+    return primes[:np.searchsorted(primes, limit, side="right")]
 
 
 def is_prime(n: int) -> bool:
@@ -172,8 +177,12 @@ def iter_mobius(lo: int, hi: int, want_omega: bool = False) -> Iterator[tuple]:
     if not 1 <= lo < hi <= 1 << 63:  # int64 positions, exact packed counts
         raise ValueError(f"need 1 <= lo < hi <= 2^63, got [{lo}, {hi})")
     primes = base_primes(max(isqrt(hi - 1), 3))
-    for seg_lo in range(lo, hi, DEFAULT_SEGMENT):
-        seg_hi = min(seg_lo + DEFAULT_SEGMENT, hi)
+    # 2^20 keeps acc in L2.  Each segment also takes (-lo) % p for every
+    # base prime in `_hits`, so past 2^14 base primes (hi near 3.3e10) the
+    # segment lengthens with them: 1.7 Mi at 1e11, and 2^22 from about 6.8e11
+    seg = min(max(DEFAULT_SEGMENT, 64 * primes.size), 4 * DEFAULT_SEGMENT)
+    for seg_lo in range(lo, hi, seg):
+        seg_hi = min(seg_lo + seg, hi)
         mu, omega = _sieve_segment(seg_lo, seg_hi, primes, want_omega)
         if want_omega:
             yield seg_lo, seg_hi, mu, omega
@@ -200,10 +209,13 @@ def mobius_prefix(n: int) -> np.ndarray:
         raise SegmentBudgetError(f"mu prefix to {n} exceeds budget {MAX_WINDOW}")
     global _mobius_table
     table = _mobius_table
-    if table.size <= n:
-        table = np.concatenate([table, mobius_range(table.size, n + 1)])
-        table.flags.writeable = False
-        _mobius_table = table
+    if table.size <= n:  # one new table, filled a segment at a time
+        grown = np.empty(n + 1, dtype=np.int8)
+        grown[:table.size] = table
+        for lo, hi, mu in iter_mobius(table.size, n + 1):
+            grown[lo:hi] = mu
+        grown.flags.writeable = False
+        table = _mobius_table = grown
     return table[:n + 1]
 
 
@@ -212,9 +224,12 @@ def squarefree_count(x: int) -> int:
     m <= x: mu(d) summed over the d with d^2 | m is 1 exactly when m is."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    mu = mobius_prefix(isqrt(x))[1:]  # the budget check comes before d
-    d = np.arange(1, mu.size + 1, dtype=np.int64)
-    return int(mu @ (x // (d * d)))
+    mu = mobius_prefix(isqrt(x))
+    total = 0
+    for lo in range(1, mu.size, _TERM_SLICE):  # int64 temporaries of one slice
+        d = np.arange(lo, min(lo + _TERM_SLICE, mu.size), dtype=np.int64)
+        total += int(mu[lo:lo + d.size] @ (x // (d * d)))
+    return total
 
 
 def squarefree_multiples(p: int, x: int) -> int:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,16 @@ def block_ensemble():
                                  ENSEMBLE_POLICY, seed=ENSEMBLE_SEED)
     assert ens.end <= MASTER_LENGTH
     return ens
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn): the most bytes tracemalloc saw allocated at once while fn ran."""
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -9,6 +9,7 @@ here.
 """
 
 import time
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -81,6 +82,57 @@ def test_progression_counts_random_and_edge():
             got = dirichlet._progression_counts(q, x)
             assert np.array_equal(got, want), (q, x)
             assert int(got.sum()) == seqgen.squarefree_count(x) - 1
+
+
+def unsliced_squarefree_count(x: int) -> int:
+    """Q(x) from one sum over every d <= sqrt(x) at once."""
+    mu = seqgen.mobius_prefix(isqrt(x))[1:]
+    d = np.arange(1, mu.size + 1, dtype=np.int64)
+    return int(mu @ (x // (d * d)))
+
+
+def unsliced_progression_counts(q: int, x_max: int) -> np.ndarray:
+    """The class counts from one pass over every d <= sqrt(x_max) at once,
+    the tails j d^2, j <= b, summed per pair (d^2 mod q, b) first."""
+    mu = seqgen.mobius_prefix(isqrt(x_max))[1:]
+    d = np.arange(1, mu.size + 1, dtype=np.int64)
+    quotients = x_max // (d * d)
+    unit = (d % q != 0) & (mu != 0)
+    a, b = np.divmod(quotients[unit], q)
+    counts = np.full(q, mu[unit] @ a, dtype=np.int64)
+    counts[0] += mu[~unit] @ quotients[~unit]
+    counts[1] -= 1  # the unit
+    weight = np.zeros((q, q), dtype=np.int64)  # weight[d^2 mod q, b]: mu summed
+    np.add.at(weight, (d[unit] ** 2 % q, b), mu[unit])
+    for s, n in zip(*np.nonzero(weight)):
+        counts[np.arange(1, n + 1) * s % q] += weight[s, n]  # distinct classes, as q is prime
+    return counts
+
+
+def test_counts_at_slice_edges():
+    # sqrt(x) one below, at and one past a multiple of the slice, for the
+    # largest and the smallest x with that root
+    for slice_len, check in ((seqgen._TERM_SLICE, "Q"), (dirichlet._CLASS_BLOCK, "classes")):
+        for r in (k * slice_len + e for k in (1, 2) for e in (-1, 0, 1)):
+            for x in (r * r, r * r + 2 * r):
+                if check == "Q":
+                    assert seqgen.squarefree_count(x) == unsliced_squarefree_count(x), x
+                    continue
+                for q in (2, 7, 101):
+                    assert np.array_equal(dirichlet._progression_counts(q, x),
+                                          unsliced_progression_counts(q, x)), (q, x)
+
+
+def test_squarefree_count_1e15():
+    assert seqgen.squarefree_count(10 ** 15) == 607927101854103  # OEIS A071172
+
+
+def test_exact_counts_work_in_slices(traced_peak):
+    # the mu prefix is grown first, so the peak is the sums' own temporaries:
+    # slices of d, not int64 arrays as long as sqrt(x), 3.2e6 and 1e6 here
+    seqgen.mobius_prefix(isqrt(10 ** 13))
+    assert traced_peak(lambda: seqgen.squarefree_count(10 ** 13)) < 4 << 20
+    assert traced_peak(lambda: dirichlet._progression_counts(7, 10 ** 12)) < 8 << 20
 
 
 def test_mertens_restricted_against_linear_loop():

@@ -116,7 +116,7 @@ def test_partial_sum_bound():
 
 
 def test_mertens_ratios_match_running_sum():
-    x_max = 5_000_000  # the last checkpoint lies past the first 4 Mi segment
+    x_max = 5_000_000  # the last checkpoint lies past the first sieve segment
     assert x_max > seqgen.DEFAULT_SEGMENT
     rep = mertens.mean_and_partial_sum_checks(x_max)
     running = np.cumsum(seqgen.mobius_range(1, x_max + 1))

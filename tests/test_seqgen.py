@@ -1,3 +1,5 @@
+import sys
+import threading
 from math import isqrt
 
 import numpy as np
@@ -92,11 +94,11 @@ def test_squarefree_multiples_against_strided_count():
 
 
 def spy_on_sieve(monkeypatch) -> list:
-    """Empty the process's mu table and record each mobius_range window."""
-    calls, sieve = [], seqgen.mobius_range
+    """Empty the process's mu table and record each iter_mobius window."""
+    calls, sieve = [], seqgen.iter_mobius
     monkeypatch.setattr(seqgen, "_mobius_table", np.frombuffer(bytes(1), dtype=np.int8))
-    monkeypatch.setattr(seqgen, "mobius_range",
-                        lambda lo, hi: calls.append((lo, hi)) or sieve(lo, hi))
+    monkeypatch.setattr(seqgen, "iter_mobius",
+                        lambda lo, hi, *rest: calls.append((lo, hi)) or sieve(lo, hi, *rest))
     return calls
 
 
@@ -135,6 +137,38 @@ def test_mobius_prefix(monkeypatch, prefix_oracle, order):
     assert calls[-1][1] == max(sizes) + 1
     with pytest.raises(ValueError):
         seqgen.mobius_prefix(-1)
+
+
+def test_mobius_prefix_grows_in_place(monkeypatch, traced_peak):
+    # the grown table is allocated once and filled a segment at a time: no
+    # chunk list and no joined copy beside it
+    monkeypatch.setattr(seqgen, "_mobius_table", np.frombuffer(bytes(1), dtype=np.int8))
+    n = 1 << 23
+    assert traced_peak(lambda: seqgen.mobius_prefix(n)) < n + (8 << 20)  # and a 2^20 segment
+
+
+def rule_length(hi: int) -> int:
+    """The segment rule written out: 64 integers per base prime, within
+    [2^20, 2^22], with pi counted by the Lucy recursion."""
+    return min(max(1 << 20, 64 * seqgen.prime_count(max(isqrt(hi - 1), 3))), 1 << 22)
+
+
+# 2^20 below about 3.3e10, 64 pi(sqrt(hi)) = 64 * 27293 near 1e11, and 2^22
+# from about 6.8e11
+@pytest.mark.parametrize("lo, seg", [(1, 1 << 20), (10 ** 9 + 7, 1 << 20),
+                                     (10 ** 11 + 3, 1_746_752),
+                                     (1_600_000_000_003, 1 << 22), (10 ** 13, 1 << 22)])
+def test_segment_rule(lo, seg):
+    # one full segment and a short one; mobius_range over a window cut
+    # elsewhere sieves other segments and must give the same mu
+    hi = lo + seg + 1000
+    assert rule_length(hi) == seg
+    parts = list(seqgen.iter_mobius(lo, hi))
+    assert [(a, b) for a, b, _ in parts] == [(lo, lo + seg), (lo + seg, hi)]
+    mid = lo + seg // 2 + 1
+    assert np.array_equal(np.concatenate([mu for _, _, mu in parts]),
+                          np.concatenate([seqgen.mobius_range(lo, mid),
+                                          seqgen.mobius_range(mid, hi)]))
 
 
 def test_nth_squarefree():
@@ -192,10 +226,6 @@ def test_restricted_sequence_offset_window():
     assert np.array_equal(base.slice_bits(1501, 300), sub.slice_bits(1501, 300))
 
 
-# about 6/pi^2 of a sieve segment's integers are square-free
-_SEGMENT_ORDINALS = int(seqgen.DEFAULT_SEGMENT * 6 / np.pi ** 2)
-
-
 @settings(max_examples=8, deadline=None)
 @given(start=st.integers(1, 10 ** 12), short=st.integers(1, 200_000),
        extra=st.integers(10_000, 150_000))
@@ -205,8 +235,9 @@ def test_restricted_bits_match_compaction(start, short, extra):
     # the compress path against the boolean-mask compaction, chunk by chunk:
     # the short window crosses 64 Ki-entry slices, the long one the segment
     # edge, and each ends at its own final cut
-    for length in (short, _SEGMENT_ORDINALS + extra):
-        lo = seqgen.nth_squarefree(start)
+    lo = seqgen.nth_squarefree(start)
+    # about 6/pi^2 of the segment's integers are square-free
+    for length in (short, int(rule_length(lo) * 6 / np.pi ** 2) + extra):
         hi = seqgen.nth_squarefree(start + length - 1) + 1
         want = [((mu[mu != 0] + 1) // 2).astype(np.uint8)
                 for _, _, mu in seqgen.iter_mobius(lo, hi)]
@@ -259,6 +290,15 @@ def test_sequence_file_errors(tmp_path):
         seqgen.read_sequence(path)
 
 
+def test_generate_sequence_file_working_set(tmp_path, traced_peak):
+    # 3e6 ordinals near 1e9 span 5e6 integers, sieved and packed a segment at
+    # a time; a bound in MiB, not in the window
+    seqgen.nth_squarefree(10 ** 9)  # the base primes, built before tracing
+    peak = traced_peak(lambda: seqgen.generate_sequence_file(tmp_path / "w.msf", 10 ** 9,
+                                                             3 * 10 ** 6))
+    assert peak < 12 << 20
+
+
 def test_generate_sequence_file_matches_in_memory(tmp_path):
     path = tmp_path / "gen.msf"
     summary = seqgen.generate_sequence_file(path, 5, 3000)
@@ -303,6 +343,42 @@ def test_slice_rejects_negative_count():
         seq.slice_bits(20, -5)
     with pytest.raises(ValueError, match="count"):
         seq.slice_mu(20, -1)
+
+
+def test_base_primes_read_only():
+    primes = seqgen.base_primes(50)
+    assert primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    with pytest.raises(ValueError, match="read-only"):
+        primes[0] = 1
+
+
+def test_base_primes_threads_grow_the_cache(monkeypatch):
+    # two threads grow an empty cache to 100 and to 1000 at once; a build is
+    # published whole, so no reader finds the primes of one limit beside the
+    # other limit
+    want = [n for n in range(2, 1001) if all(n % d for d in range(2, isqrt(n) + 1))]
+    got = {}
+
+    def grow(limit, barrier):
+        barrier.wait()
+        got[limit] = seqgen.base_primes(limit).tolist()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the sieve loop
+    try:
+        for _ in range(200):
+            monkeypatch.setattr(seqgen, "_prime_cache", {})
+            barrier = threading.Barrier(2)
+            threads = [threading.Thread(target=grow, args=(limit, barrier))
+                       for limit in (100, 1000)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert got == {100: want[:25], 1000: want}
+            assert seqgen.base_primes(1000).tolist() == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_prime_helpers_against_trial_division():

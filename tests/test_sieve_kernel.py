@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from mobiuswalk import seqgen
 
 SEGMENT = seqgen.DEFAULT_SEGMENT
-OFFSETS = (1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 2_500_000_000, 10 ** 12,
-           1_600_000_000_000, 10 ** 13)
+OFFSETS = (1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 4 * SEGMENT - 1, 4 * SEGMENT,
+           4 * SEGMENT + 1, 2_500_000_000, 10 ** 12, 1_600_000_000_000, 10 ** 13)
 # primes move from the scatter to the strided slices at width 64 p
 WIDTHS = (1, 7, 600, 5000, 64 * 2 - 1, 64 * 2, 64 * 2 + 1, 64 * 97 - 1, 64 * 97,
           64 * 97 + 1)
@@ -74,7 +74,12 @@ def test_widths_at_offsets(lo):
 
 @pytest.mark.parametrize("lo", (1, 2_500_000_000, 1_600_000_000_000))
 def test_full_segment(lo):
-    assert_same(sieve(lo, lo + SEGMENT), division_sieve(lo, lo + SEGMENT), lo)
+    # one kernel call at the shortest and the longest segment of the rule;
+    # primes move from the strided slices to the scatter at n // 64
+    for n in (SEGMENT, 4 * SEGMENT):
+        primes = seqgen.base_primes(isqrt(lo + n - 1))
+        assert_same(seqgen._sieve_segment(lo, lo + n, primes, True),
+                    division_sieve(lo, lo + n), (lo, n))
 
 
 def test_primorial_times_smallest_leftover():
