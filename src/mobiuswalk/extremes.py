@@ -14,8 +14,6 @@ from functools import lru_cache
 from math import pi, sinh, sqrt
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, zeta
 
 from .seqgen import BitSequence
 from .statcore import chi2_test
@@ -28,7 +26,39 @@ _MORI_MAX_TERMS = 100_000
 _CHUNK_SEGMENTS = 2000  # segments whose walks are built at once
 _FIT_BINS = 50
 _FIT_MIN_SAMPLES = 1000
-_TAU_MAX_ORDER = 10
+
+# The Mori integrals are fixed numbers, so they are tabulated as the reprs
+# of scipy's quad results (the tests recompute them).  <|tau/T|^n> for
+# n = 1..10 is twice the quad of x^n mori_f(x) over (0, 1), with epsabs =
+# epsrel = 1e-11 and limit 400.
+_MORI_ABS_MOMENTS = (
+    0.590862907413258, 0.4008998951323247, 0.29729659325929036,
+    0.23394686978935555, 0.19187509431267769, 0.16217103782030093,
+    0.14019929251768895, 0.12334583402589819, 0.11003840412009974,
+    0.09928050974419209,
+)
+
+# The mass of mori_f on each of _FIT_BINS equal bins of (-1, 1), by quad
+# with epsabs 1e-10 and limit 400 (hence the last-digit asymmetry).
+_MORI_BIN_PROBS = np.array([
+    0.02041099361495194, 0.0212786764168865, 0.022209522438415223,
+    0.023178750925004505, 0.024150811352663042, 0.02508930346413772,
+    0.025959636024272585, 0.026728656126477107, 0.027363515371425194,
+    0.02783046306966881, 0.028093730305136563, 0.02811453750275422,
+    0.027850262095948267, 0.02725387350856763, 0.026273885939785965,
+    0.024855348102240143, 0.022942896228851824, 0.02048785966898832,
+    0.0174632182188829, 0.013893450329754798, 0.00991119048961642,
+    0.005854811780483416, 0.0023888429574287374, 0.0004104595067462352,
+    5.304560911985657e-06, 5.304560911985657e-06, 0.0004104595067462381,
+    0.0023888429574287443, 0.005854811780483385, 0.009911190489616443,
+    0.013893450329754798, 0.0174632182188829, 0.02048785966898838,
+    0.02294289622885184, 0.02485534810224015, 0.026273885939785885,
+    0.02725387350856763, 0.027850262095948267, 0.02811453750275422,
+    0.028093730305136642, 0.0278304630696688, 0.027363515371425118,
+    0.026728656126477107, 0.025959636024272585, 0.02508930346413772,
+    0.02415081135266311, 0.0231787509250045, 0.022209522438415105,
+    0.02127867641688656, 0.02041099361495194,
+])
 
 
 def walk_extremes(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,20 +125,14 @@ def _mori_f_safe(x: float) -> float:
     return mori_f(x) if 0.0 < abs(x) < 1.0 else 0.0
 
 
-@lru_cache(maxsize=64)
-def _mori_abs_moment(order: int) -> float:
-    val, _ = quad(lambda x: x ** order * _mori_f_safe(x), 0.0, 1.0,
-                  epsabs=1e-11, epsrel=1e-11, limit=400)
-    return 2.0 * val
-
-
-def tau_moment_table(max_order: int = _TAU_MAX_ORDER) -> list[tuple[int, float]]:
-    """Theoretical absolute moments <|tau/T|^n> by quadrature of mori_f."""
-    return [(n, _mori_abs_moment(n)) for n in range(1, max_order + 1)]
+def tau_moment_table() -> list[tuple[int, float]]:
+    """Theoretical absolute moments <|tau/T|^n>, n = 1..10 (quadratures of mori_f)."""
+    return list(enumerate(_MORI_ABS_MOMENTS, 1))
 
 
 def tau_closed_moments() -> dict[int, float]:
     """The first four absolute moments in closed form (zeta values)."""
+    from scipy.special import zeta
     z3, z5 = float(zeta(3)), float(zeta(5))
     return {
         1: (4 * math.log(2) - 1) / 3,
@@ -118,16 +142,9 @@ def tau_closed_moments() -> dict[int, float]:
     }
 
 
-@lru_cache(maxsize=1)
-def _mori_bin_probs() -> np.ndarray:
-    edges = np.linspace(-1.0, 1.0, _FIT_BINS + 1)
-    return np.array([quad(_mori_f_safe, edges[i], edges[i + 1],
-                          epsabs=1e-10, limit=400)[0]
-                     for i in range(_FIT_BINS)])
-
-
 def _u_even(n: np.ndarray) -> np.ndarray:
     # C(2n, n) / 4^n without overflow
+    from scipy.special import gammaln
     n = np.asarray(n, dtype=np.float64)
     return np.exp(gammaln(2 * n + 1) - 2 * gammaln(n + 1) - 2 * n * math.log(2.0))
 
@@ -198,8 +215,7 @@ def arcsine_compare(samples, T: int) -> FitReport:
 def tau_compare(samples) -> FitReport:
     """Chi-square of tau/T samples, in [-1, 1], against the Mori scaling density."""
     x = np.asarray(samples, dtype=np.float64)
-    return _binned_fit((x + 1.0) / 2.0, _mori_bin_probs(), np.abs(x),
-                       tuple(v for _, v in tau_moment_table()))
+    return _binned_fit((x + 1.0) / 2.0, _MORI_BIN_PROBS, np.abs(x), _MORI_ABS_MOMENTS)
 
 
 def histogram_rows(samples, domain: tuple[float, float], density_fn) -> list[tuple]:

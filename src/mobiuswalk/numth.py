@@ -17,8 +17,6 @@ from itertools import count
 from math import log
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import expi, zeta
 
 from .seqgen import (PI2_OVER_6, iter_mobius, mobius_prefix, nth_squarefree,
                      prime_count, squarefree_multiples)
@@ -104,6 +102,7 @@ def li_squarefree(x: float) -> float:
     which is li(x+1) - li(3) in closed form."""
     if x <= 2:
         return 0.0
+    from scipy.special import expi
     return float(expi(log(x + 1.0)) - expi(log(3.0)))
 
 
@@ -123,6 +122,9 @@ def constants_compute() -> Constants:
     come from the alternating series over prime powers with the prime sums
     smoothed by the density 1/log t, integrated from 2.
     """
+    from scipy.integrate import quad
+    from scipy.special import zeta
+
     a_const = float(np.euler_gamma)
     for k in count(2):
         term = log(float(zeta(k))) / k

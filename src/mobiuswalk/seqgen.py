@@ -196,8 +196,10 @@ def mobius_range(lo: int, hi: int) -> np.ndarray:
         raise SegmentBudgetError(
             f"window of {hi - lo} integers exceeds budget {MAX_WINDOW}; "
             "use iter_mobius to stream")
-    chunks = [mu for _, _, mu in iter_mobius(lo, hi)]
-    return np.concatenate(chunks)
+    mu = np.empty(hi - lo, dtype=np.int8)
+    for seg_lo, seg_hi, seg in iter_mobius(lo, hi):  # one output, filled in place
+        mu[seg_lo - lo:seg_hi - lo] = seg
+    return mu
 
 
 def mobius_prefix(n: int) -> np.ndarray:
@@ -334,10 +336,27 @@ def iter_restricted_bits(start_ordinal: int, length: int) -> Iterator[np.ndarray
         raise AssertionError("sieve exhausted before covering the request")
 
 
+def _iter_packed(start_ordinal: int, length: int) -> Iterator[np.ndarray]:
+    """Stream the packed bytes of the sequence in order: each chunk's whole
+    bytes, carrying its last bits into the next, then the zero-padded tail."""
+    carry = np.empty(0, dtype=np.uint8)
+    for chunk in iter_restricted_bits(start_ordinal, length):
+        buf = np.concatenate([carry, chunk]) if carry.size else chunk
+        whole = (buf.size // 8) * 8
+        yield np.packbits(buf[:whole], bitorder="little")
+        carry = buf[whole:]
+    if carry.size:
+        yield np.packbits(carry, bitorder="little")
+
+
 def restricted_sequence(start_ordinal: int, length: int) -> BitSequence:
     """Materialize the bit sequence for [start_ordinal, start_ordinal+length)."""
-    chunks = list(iter_restricted_bits(start_ordinal, length))
-    return BitSequence.from_bits(start_ordinal, np.concatenate(chunks))
+    bits = np.empty((length + 7) // 8, dtype=np.uint8)
+    k = 0
+    for packed in _iter_packed(start_ordinal, length):
+        bits[k:k + packed.size] = packed
+        k += packed.size
+    return BitSequence(start_ordinal, length, bits)
 
 
 def write_sequence(seq: BitSequence, path) -> None:
@@ -371,18 +390,12 @@ def generate_sequence_file(path, start_ordinal: int, length: int) -> dict:
     ordinals are fine.  On failure the partial file is removed.
     """
     ones = 0
-    carry = np.empty(0, dtype=np.uint8)
     with open(path, "wb") as fh:
         try:
             fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, start_ordinal, length))
-            for chunk in iter_restricted_bits(start_ordinal, length):
-                ones += int(np.count_nonzero(chunk))
-                buf = np.concatenate([carry, chunk]) if carry.size else chunk
-                whole = (buf.size // 8) * 8
-                np.packbits(buf[:whole], bitorder="little").tofile(fh)
-                carry = buf[whole:]
-            if carry.size:
-                np.packbits(carry, bitorder="little").tofile(fh)
+            for packed in _iter_packed(start_ordinal, length):
+                ones += int(np.bitwise_count(packed).sum())  # pad bits are 0
+                packed.tofile(fh)
         except BaseException:
             # a partial file would pass for a header with a short payload;
             # devices, pipes and symlinks given as the output are left alone

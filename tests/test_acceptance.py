@@ -184,7 +184,7 @@ def test_criterion_07_mori_moments():
     t0 = time.monotonic()
     published = [0.5908, 0.4009, 0.2972, 0.2339, 0.1918,
                  0.1621, 0.1401, 0.1233, 0.1100, 0.0992]
-    table = extremes.tau_moment_table(10)
+    table = extremes.tau_moment_table()[:10]
     for (order, value), want in zip(table, published):
         assert abs(value - want) < 1e-4, (order, value)
     closed = extremes.tau_closed_moments()

@@ -1,13 +1,61 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mobiuswalk import cli, seqgen
 
 
 def run(argv):
     return cli.main(argv)
+
+
+# run one command through cli.main in a fresh interpreter, then print its
+# exit code and the scipy modules it loaded
+_SCIPY_AFTER = """
+import sys
+from mobiuswalk import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def scipy_loaded_by(argv) -> tuple[int, list[str]]:
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, *modules = out.splitlines()[-1].split()
+    return int(code), modules
+
+
+@pytest.fixture(scope="module")
+def full_block_file(tmp_path_factory):
+    """One 1.41e6-bit block, long enough for every battery test."""
+    path = tmp_path_factory.mktemp("imports") / "s.msf"
+    assert run(["gen", "--count", "1410000", "--out", str(path)]) == 0
+    return path
+
+
+def test_gen_and_battery_load_no_scipy(tmp_path, full_block_file):
+    assert scipy_loaded_by(["gen", "--count", "100000",
+                            "--out", str(tmp_path / "g.msf")]) == (0, [])
+    code, modules = scipy_loaded_by(["battery", "--seq", str(full_block_file),
+                                     "--blocks", "1", "--block-len", "1410000",
+                                     "--workers", "1", "--out", str(tmp_path / "r.jsonl")])
+    assert code in (0, 1) and modules == []
+
+
+def test_extremes_and_tau_table_skip_quadrature(tmp_path, full_block_file):
+    for argv in (["extremes", "--seq", str(full_block_file), "--segments", "1000",
+                  "--seg-len", "1000", "--out", str(tmp_path / "x")],
+                 ["tables", "--which", "tau", "--out", str(tmp_path / "tau.csv")]):
+        code, modules = scipy_loaded_by(argv)
+        assert code == 0 and "scipy.integrate" not in modules, argv
 
 
 def test_gen_roundtrip_and_determinism(tmp_path, capsys):

@@ -106,7 +106,7 @@ def test_mori_moments_closed_forms():
     assert closed[1] == pytest.approx((4 * math.log(2) - 1) / 3)
     assert closed[1] == pytest.approx(0.5908, abs=1e-4)
     assert closed[2] == pytest.approx(0.4009, abs=1e-4)
-    table = dict(extremes.tau_moment_table(4))
+    table = dict(extremes.tau_moment_table()[:4])
     for order, want in closed.items():
         assert abs(table[order] - want) < 1e-8
 
@@ -114,8 +114,25 @@ def test_mori_moments_closed_forms():
 def test_mori_moment_table():
     reference = [0.5908, 0.4009, 0.2972, 0.2339, 0.1918,
                  0.1621, 0.1401, 0.1233, 0.1100, 0.0992]
-    for (order, val), want in zip(extremes.tau_moment_table(10), reference):
+    for (order, val), want in zip(extremes.tau_moment_table()[:10], reference):
         assert abs(val - want) < 1e-4, order
+
+
+def test_mori_tables_match_quad():
+    # the tabulated moments and bin weights against the quad calls that
+    # made them, with the same tolerances and subdivision limit
+    table = extremes.tau_moment_table()
+    assert [order for order, _ in table] == list(range(1, 11))
+    for order, val in table:
+        want = 2.0 * quad(lambda x: x ** order * extremes._mori_f_safe(x), 0.0, 1.0,
+                          epsabs=1e-11, epsrel=1e-11, limit=400)[0]
+        assert val == pytest.approx(want, rel=1e-12, abs=0), order
+    edges = np.linspace(-1.0, 1.0, extremes._FIT_BINS + 1)
+    want = [quad(extremes._mori_f_safe, a, b, epsabs=1e-10, limit=400)[0]
+            for a, b in zip(edges[:-1], edges[1:])]
+    np.testing.assert_allclose(extremes._MORI_BIN_PROBS, want, rtol=1e-12, atol=0)
+    # the weights are the whole mass of the density, up to quad's epsabs per bin
+    assert abs(extremes._MORI_BIN_PROBS.sum() - 1.0) <= extremes._FIT_BINS * 1e-10
 
 
 def test_discrete_argmin_pmf_brute_force():

@@ -147,6 +147,21 @@ def test_mobius_prefix_grows_in_place(monkeypatch, traced_peak):
     assert traced_peak(lambda: seqgen.mobius_prefix(n)) < n + (8 << 20)  # and a 2^20 segment
 
 
+def test_mobius_range_fills_one_array(traced_peak):
+    # one int8 output filled a segment at a time: no chunk list beside a
+    # joined copy, which would peak at twice the window
+    seqgen.base_primes(1 << 12)
+    n = 1 << 24
+    assert traced_peak(lambda: seqgen.mobius_range(1, n + 1)) < n + (8 << 20)
+
+
+def test_restricted_sequence_packs_in_place(traced_peak):
+    # 2^23 ordinals near 1e9 are packed a segment at a time into one 1 MiB
+    # array, not kept as a list of unpacked chunks and joined
+    seqgen.nth_squarefree(10 ** 9 + 2 ** 23)  # the base primes, built before tracing
+    assert traced_peak(lambda: seqgen.restricted_sequence(10 ** 9, 2 ** 23)) < 16 << 20
+
+
 def rule_length(hi: int) -> int:
     """The segment rule written out: 64 integers per base prime, within
     [2^20, 2^22], with pi counted by the Lucy recursion."""
