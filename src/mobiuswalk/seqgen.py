@@ -196,7 +196,7 @@ def mobius_range(lo: int, hi: int) -> np.ndarray:
         raise SegmentBudgetError(
             f"window of {hi - lo} integers exceeds budget {MAX_WINDOW}; "
             "use iter_mobius to stream")
-    mu = np.empty(hi - lo, dtype=np.int8)
+    mu = np.empty(max(hi - lo, 0), dtype=np.int8)  # iter_mobius rejects hi <= lo
     for seg_lo, seg_hi, seg in iter_mobius(lo, hi):  # one output, filled in place
         mu[seg_lo - lo:seg_hi - lo] = seg
     return mu
@@ -351,7 +351,8 @@ def _iter_packed(start_ordinal: int, length: int) -> Iterator[np.ndarray]:
 
 def restricted_sequence(start_ordinal: int, length: int) -> BitSequence:
     """Materialize the bit sequence for [start_ordinal, start_ordinal+length)."""
-    bits = np.empty((length + 7) // 8, dtype=np.uint8)
+    # iter_restricted_bits rejects length < 1
+    bits = np.empty(max(length + 7, 0) // 8, dtype=np.uint8)
     k = 0
     for packed in _iter_packed(start_ordinal, length):
         bits[k:k + packed.size] = packed

@@ -57,6 +57,11 @@ def test_mobius_argument_errors():
         seqgen.mobius_range(10, 10)
     with pytest.raises(ValueError):
         seqgen.mobius_range(0, 5)
+    # the output is allocated before the sieve checks the window
+    with pytest.raises(ValueError, match="lo < hi"):
+        seqgen.mobius_range(10, 5)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        seqgen.restricted_sequence(1, -100)
     with pytest.raises(seqgen.SegmentBudgetError):
         seqgen.mobius_range(1, 2 + seqgen.MAX_WINDOW)
 
