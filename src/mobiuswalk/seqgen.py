@@ -197,7 +197,7 @@ def mobius_range(lo: int, hi: int) -> np.ndarray:
             f"window of {hi - lo} integers exceeds budget {MAX_WINDOW}; "
             "use iter_mobius to stream")
     mu = np.empty(max(hi - lo, 0), dtype=np.int8)  # iter_mobius rejects hi <= lo
-    for seg_lo, seg_hi, seg in iter_mobius(lo, hi):  # one output, filled in place
+    for seg_lo, seg_hi, seg in iter_mobius(lo, hi):
         mu[seg_lo - lo:seg_hi - lo] = seg
     return mu
 
@@ -336,17 +336,19 @@ def iter_restricted_bits(start_ordinal: int, length: int) -> Iterator[np.ndarray
         raise AssertionError("sieve exhausted before covering the request")
 
 
-def _iter_packed(start_ordinal: int, length: int) -> Iterator[np.ndarray]:
-    """Stream the packed bytes of the sequence in order: each chunk's whole
-    bytes, carrying its last bits into the next, then the zero-padded tail."""
+def _iter_packed(start_ordinal: int, length: int) -> Iterator[tuple]:
+    """Stream (packed bytes, ones) of the sequence in order: each chunk's whole
+    bytes, carrying its last bits into the next, then the zero-padded tail.
+    `ones` counts the set bits of the chunk just read, so the tail's is 0."""
     carry = np.empty(0, dtype=np.uint8)
     for chunk in iter_restricted_bits(start_ordinal, length):
+        ones = int(np.count_nonzero(chunk))
         buf = np.concatenate([carry, chunk]) if carry.size else chunk
         whole = (buf.size // 8) * 8
-        yield np.packbits(buf[:whole], bitorder="little")
+        yield np.packbits(buf[:whole], bitorder="little"), ones
         carry = buf[whole:]
     if carry.size:
-        yield np.packbits(carry, bitorder="little")
+        yield np.packbits(carry, bitorder="little"), 0
 
 
 def restricted_sequence(start_ordinal: int, length: int) -> BitSequence:
@@ -354,7 +356,7 @@ def restricted_sequence(start_ordinal: int, length: int) -> BitSequence:
     # iter_restricted_bits rejects length < 1
     bits = np.empty(max(length + 7, 0) // 8, dtype=np.uint8)
     k = 0
-    for packed in _iter_packed(start_ordinal, length):
+    for packed, _ in _iter_packed(start_ordinal, length):
         bits[k:k + packed.size] = packed
         k += packed.size
     return BitSequence(start_ordinal, length, bits)
@@ -394,8 +396,8 @@ def generate_sequence_file(path, start_ordinal: int, length: int) -> dict:
     with open(path, "wb") as fh:
         try:
             fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, start_ordinal, length))
-            for packed in _iter_packed(start_ordinal, length):
-                ones += int(np.bitwise_count(packed).sum())  # pad bits are 0
+            for packed, chunk_ones in _iter_packed(start_ordinal, length):
+                ones += chunk_ones
                 packed.tofile(fh)
         except BaseException:
             # a partial file would pass for a header with a short payload;

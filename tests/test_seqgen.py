@@ -328,6 +328,14 @@ def test_generate_sequence_file_matches_in_memory(tmp_path):
     assert summary["ones"] == int(ref.slice_bits(5, 3000).sum())
 
 
+def test_generate_sequence_file_without_numpy2(tmp_path, monkeypatch):
+    # pyproject.toml allows numpy >= 1.24, which has no np.bitwise_count (2.0)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    summary = seqgen.generate_sequence_file(tmp_path / "g.msf", 10 ** 6, 5000)
+    ref = seqgen.restricted_sequence(10 ** 6, 5000)
+    assert summary["ones"] == int(ref.slice_bits(10 ** 6, 5000).sum())
+
+
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(start=st.integers(1, 10 ** 9), n=st.integers(1, 10 ** 4), seed=st.integers(0, 2 ** 32 - 1))
