@@ -319,21 +319,15 @@ def test_generate_sequence_file_working_set(tmp_path, traced_peak):
     assert peak < 12 << 20
 
 
-def test_generate_sequence_file_matches_in_memory(tmp_path):
+def test_generate_sequence_file_matches_in_memory(tmp_path, monkeypatch):
+    # pyproject.toml allows numpy >= 1.24, which has no np.bitwise_count (2.0)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
     path = tmp_path / "gen.msf"
     summary = seqgen.generate_sequence_file(path, 5, 3000)
     seq = seqgen.read_sequence(path)
     ref = seqgen.restricted_sequence(5, 3000)
     assert np.array_equal(seq.bits, ref.bits)
     assert summary["ones"] == int(ref.slice_bits(5, 3000).sum())
-
-
-def test_generate_sequence_file_without_numpy2(tmp_path, monkeypatch):
-    # pyproject.toml allows numpy >= 1.24, which has no np.bitwise_count (2.0)
-    monkeypatch.delattr(np, "bitwise_count", raising=False)
-    summary = seqgen.generate_sequence_file(tmp_path / "g.msf", 10 ** 6, 5000)
-    ref = seqgen.restricted_sequence(10 ** 6, 5000)
-    assert summary["ones"] == int(ref.slice_bits(10 ** 6, 5000).sum())
 
 
 @settings(max_examples=30, deadline=None,
