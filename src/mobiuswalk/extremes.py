@@ -23,7 +23,7 @@ ARCSINE_MOMENTS = (1 / 2, 3 / 8, 5 / 16, 35 / 128, 63 / 256, 231 / 1024)
 _MORI_TERM_TOL = 1e-16
 _MORI_MAX_TERMS = 100_000
 
-_CHUNK_SEGMENTS = 2000  # segments whose walks are built at once
+_CHUNK_STEPS = 1 << 20  # walk steps built at once, whatever the segment length
 _FIT_BINS = 50
 _FIT_MIN_SAMPLES = 1000
 
@@ -69,7 +69,10 @@ def walk_extremes(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if steps.ndim != 2 or steps.shape[1] == 0:
         raise ValueError("steps must be 2-D (segments x T) with T >= 1")
     # |s_t| <= t for +-1 steps, so int16 holds every walk shorter than 2**15
-    walks = np.cumsum(steps, axis=1, dtype=np.int16 if steps.shape[1] < 2 ** 15 else np.int64)
+    # and int32 every walk shorter than 2**31
+    T = steps.shape[1]
+    walks = np.cumsum(steps, axis=1, dtype=np.int16 if T < 2 ** 15
+                      else np.int32 if T < 2 ** 31 else np.int64)
     rows = np.arange(steps.shape[0])
     lo = np.argmin(walks, axis=1)
     hi = np.argmax(walks, axis=1)
@@ -80,13 +83,23 @@ def walk_extremes(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def segment_extremes_batch(seq: BitSequence, start_ordinal: int, n_segments: int,
                            T: int) -> tuple[np.ndarray, np.ndarray]:
-    """(t_min, t_max) arrays for n_segments back-to-back segments of length T."""
+    """(t_min, t_max) arrays for n_segments back-to-back segments of length T.
+
+    The walks are built _CHUNK_STEPS steps at a time, in whole segments, so
+    memory does not grow with n_segments or T; a segment longer than that
+    budget is built whole, on its own.
+    """
     if T < 1 or n_segments < 1:
         raise ValueError(f"need T >= 1 and n_segments >= 1, got T={T}, n_segments={n_segments}")
+    if not seq.covers(start_ordinal, n_segments * T):
+        raise ValueError(
+            f"{n_segments} segments of {T} from ordinal {start_ordinal} not covered by "
+            f"sequence [{seq.start_ordinal}, {seq.start_ordinal + seq.length})")
     t_min = np.empty(n_segments, dtype=np.int64)
     t_max = np.empty(n_segments, dtype=np.int64)
-    for i in range(0, n_segments, _CHUNK_SEGMENTS):
-        m = min(_CHUNK_SEGMENTS, n_segments - i)
+    per_chunk = max(1, _CHUNK_STEPS // T)
+    for i in range(0, n_segments, per_chunk):
+        m = min(per_chunk, n_segments - i)
         mu = seq.slice_mu(start_ordinal + i * T, m * T)
         lo, hi = walk_extremes(mu.reshape(m, T))
         t_min[i:i + m] = lo

@@ -32,7 +32,8 @@ DEFAULT_SEGMENT = 1 << 20  # the shortest segment; iter_mobius sets the length
 MAX_WINDOW = 1 << 26
 _STRIDE_HITS = 64
 _MIN_SCATTER = 32  # fewer steps than this are cheaper strided than scattered
-_SCATTER_STEPS = (1 << 20) // _STRIDE_HITS  # so a block scatters at most 2^20 hits
+_SCATTER_STEPS = 1 << 14  # steps per scattered block at most
+_SCATTER_HITS = 1 << 17  # hits per scattered block at most, unless one step has more
 _COMPRESS_SLICE = 1 << 16  # np.compress builds an int64 index per slice
 _TERM_SLICE = 1 << 16  # d <= sqrt(x) per int64 temporary of an exact count
 
@@ -120,6 +121,19 @@ def _hits(lo: int, n: int, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return start[owner] + j * steps[owner], owner
 
 
+def _scatter_blocks(steps: np.ndarray, a: int, n: int) -> Iterator[tuple[int, int]]:
+    """Bounds (a, b) of consecutive blocks of the sorted steps[a:], each of at
+    most _SCATTER_STEPS steps whose hits on n integers, at most n // step + 1
+    each, add up to at most _SCATTER_HITS; `_hits` holds a few int64 per hit."""
+    while a < steps.size:
+        b = min(a + _SCATTER_STEPS, steps.size)
+        if (n // int(steps[a]) + 1) * (b - a) > _SCATTER_HITS:  # the first step hits most
+            hits = np.cumsum(n // steps[a:b] + 1)
+            b = a + max(1, int(np.searchsorted(hits, _SCATTER_HITS, "right")))
+        yield a, b
+        a = b
+
+
 def _stride_cut(steps: np.ndarray, n: int) -> int:
     """Steps below the cut hit n integers _STRIDE_HITS times or more and are
     strided; the rest are scattered, unless too few are left to pay for it."""
@@ -142,11 +156,11 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, want_omega: bool):
         acc[(-lo) % p::p] += step
     for p2 in squares[:cut2].tolist():
         squarefree[(-lo) % p2::p2] = False
-    for b in range(cut, primes.size, _SCATTER_STEPS):
-        idx, owner = _hits(lo, n, primes[b:b + _SCATTER_STEPS])
-        np.add.at(acc, idx, steps[b + owner])
-    for b in range(cut2, squares.size, _SCATTER_STEPS):
-        squarefree[_hits(lo, n, squares[b:b + _SCATTER_STEPS])[0]] = False
+    for a, b in _scatter_blocks(primes, cut, n):
+        idx, owner = _hits(lo, n, primes[a:b])
+        np.add.at(acc, idx, steps[a + owner])
+    for a, b in _scatter_blocks(squares, cut2, n):
+        squarefree[_hits(lo, n, squares[a:b])[0]] = False
     # Square-free m has at most one prime factor q > sqrt(hi - 1) and c <= 15
     # sieving ones (the first 16 primes multiply past 2^63).  Each floor loses
     # under 1 (float error is far below the margin), so 16 log2 m - S < c

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mobiuswalk import extremes, seqgen
+from mobiuswalk import cli, extremes, seqgen
 
 
 def first_attainment(bits) -> tuple[int, int]:
@@ -48,13 +49,49 @@ def test_first_attainment_ties():
     assert one_segment([1, 0, 1, 0]) == (0, 1)
 
 
-def test_batch_matches_single():
-    # short segments across more than two chunks of the batch
-    T, n = 3, 2 * extremes._CHUNK_SEGMENTS + 501
+def test_batch_matches_single(monkeypatch):
+    T, n = 7, 41
     seq = seqgen.restricted_sequence(1, n * T + 10)
-    t_min, t_max = extremes.segment_extremes_batch(seq, 6, n, T)
-    rows = seq.slice_bits(6, n * T).reshape(n, T)
-    assert list(zip(t_min.tolist(), t_max.tolist())) == [first_attainment(r) for r in rows]
+    want = [first_attainment(r) for r in seq.slice_bits(6, n * T).reshape(n, T)]
+    # step budgets 1, T - 1 and T + 1 build one segment per chunk, T one, and
+    # 3T + 1 three, with a partial last chunk
+    for budget in (1, T - 1, T, T + 1, 3 * T + 1):
+        monkeypatch.setattr(extremes, "_CHUNK_STEPS", budget)
+        t_min, t_max = extremes.segment_extremes_batch(seq, 6, n, T)
+        assert list(zip(t_min.tolist(), t_max.tolist())) == want, budget
+
+
+def test_batch_memory_bounded_by_step_budget():
+    # 2000 segments of 5000 steps: 1e7 steps, built 2^20 steps at a time
+    n, T = 2000, 5000
+    payload = np.random.default_rng(5).integers(0, 256, n * T // 8, dtype=np.uint8)
+    seq = seqgen.BitSequence(1, n * T, payload)
+    tracemalloc.start()
+    try:
+        t_min, t_max = extremes.segment_extremes_batch(seq, 1, n, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t_min.size == t_max.size == n
+    assert peak < 16 * 2 ** 20
+
+
+def test_batch_rejects_uncovered_request_before_walking(monkeypatch, tmp_path, capsys):
+    # 31 segments of 100 in chunks of 10 on 3000 ordinals: only the last
+    # chunk runs past the sequence, and no walk is built before the error
+    calls = []
+    walk = extremes.walk_extremes
+    monkeypatch.setattr(extremes, "walk_extremes", lambda steps: calls.append(1) or walk(steps))
+    monkeypatch.setattr(extremes, "_CHUNK_STEPS", 1000)
+    seq = seqgen.restricted_sequence(1, 3000)
+    with pytest.raises(ValueError, match="not covered"):
+        extremes.segment_extremes_batch(seq, 1, 31, 100)
+    path = tmp_path / "mu.msf"
+    seqgen.write_sequence(seq, path)
+    assert cli.main(["extremes", "--seq", str(path), "--segments", "31",
+                     "--seg-len", "100"]) == 2
+    assert "not covered" in capsys.readouterr().err
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)
