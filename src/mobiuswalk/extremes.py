@@ -85,9 +85,9 @@ def segment_extremes_batch(seq: BitSequence, start_ordinal: int, n_segments: int
                            T: int) -> tuple[np.ndarray, np.ndarray]:
     """(t_min, t_max) arrays for n_segments back-to-back segments of length T.
 
-    The walks are built _CHUNK_STEPS steps at a time, in whole segments, so
-    memory does not grow with n_segments or T; a segment longer than that
-    budget is built whole, on its own.
+    The walks are built in whole segments, at most _CHUNK_STEPS steps at a
+    time, so memory grows neither with n_segments nor with T up to that
+    budget; a segment longer than the budget is built whole, on its own.
     """
     if T < 1 or n_segments < 1:
         raise ValueError(f"need T >= 1 and n_segments >= 1, got T={T}, n_segments={n_segments}")

@@ -53,8 +53,8 @@ def test_batch_matches_single(monkeypatch):
     T, n = 7, 41
     seq = seqgen.restricted_sequence(1, n * T + 10)
     want = [first_attainment(r) for r in seq.slice_bits(6, n * T).reshape(n, T)]
-    # step budgets 1, T - 1 and T + 1 build one segment per chunk, T one, and
-    # 3T + 1 three, with a partial last chunk
+    # budgets below T still build one whole segment per chunk, T and T + 1
+    # exactly one, and 3T + 1 three, with a partial last chunk
     for budget in (1, T - 1, T, T + 1, 3 * T + 1):
         monkeypatch.setattr(extremes, "_CHUNK_STEPS", budget)
         t_min, t_max = extremes.segment_extremes_batch(seq, 6, n, T)

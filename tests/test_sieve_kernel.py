@@ -82,6 +82,21 @@ def test_full_segment(lo):
                     division_sieve(lo, lo + n), (lo, n))
 
 
+@pytest.mark.parametrize("lo", (10 ** 12, 10 ** 14))
+def test_scatter_blocks_bound_their_hits(lo):
+    # the scattered primes and squares of a 4 Mi segment, in blocks that
+    # cover them in order, each of at most 2^14 steps and 2^17 hits
+    n = 4 * SEGMENT
+    primes = seqgen.base_primes(isqrt(lo + n - 1))
+    for steps in (primes, primes * primes):
+        cut = seqgen._stride_cut(steps, n)
+        blocks = list(seqgen._scatter_blocks(steps, cut, n))
+        assert [a for a, _ in blocks] + [steps.size] == [cut] + [b for _, b in blocks]
+        for a, b in blocks:
+            hits = int(((lo + n - 1) // steps[a:b] - (lo - 1) // steps[a:b]).sum())
+            assert 0 < b - a <= seqgen._SCATTER_STEPS and hits <= seqgen._SCATTER_HITS
+
+
 def test_primorial_times_smallest_leftover():
     # m = P q with P a primorial and q the least prime with q^2 >= hi: as
     # many sieving primes as m can hold and the smallest leftover prime, so
