@@ -148,9 +148,8 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
     class a times, and the last b add mu(d) to the classes j d^2, j = 1..b:
     about 2 sqrt(x_max q) scattered entries in all.
     """
-    # the O(1) check first: is_prime sieves up to sqrt(q)
-    if x_max < q:
-        raise ValueError(f"x_max must be >= q, got {x_max}")
+    if x_max < 1:
+        raise ValueError(f"x_max must be >= 1, got {x_max}")
     if not is_prime(q):
         raise UnsupportedModulusError(f"modulus {q} is not prime")
     mu_all = mobius_prefix(math.isqrt(x_max))
@@ -190,6 +189,9 @@ def _density_estimate(q: int, r: int, x_max: int) -> float:
 def progression_table(q: int, x_max: int) -> list[tuple]:
     """Rows (r, count, estimate, relative_error), with every class count
     read from one sum over d <= sqrt(x_max)."""
+    # the O(1) check first: is_prime sieves up to sqrt(q)
+    if x_max < q:
+        raise ValueError(f"x_max must be >= q, got {x_max}")
     counts = _progression_counts(q, x_max)
     rows = []
     for r, count in enumerate(counts.tolist()):

@@ -155,11 +155,10 @@ def tau_closed_moments() -> dict[int, float]:
     }
 
 
-def _u_even(n: np.ndarray) -> np.ndarray:
-    # C(2n, n) / 4^n without overflow
-    from scipy.special import gammaln
-    n = np.asarray(n, dtype=np.float64)
-    return np.exp(gammaln(2 * n + 1) - 2 * gammaln(n + 1) - 2 * n * math.log(2.0))
+def _u_even(j_max: int) -> np.ndarray:
+    """u_j = C(2j, j) / 4^j for j = 0..j_max, the running product of (2i - 1) / (2i)."""
+    i = np.arange(1, j_max + 1, dtype=np.float64)
+    return np.concatenate(([1.0], np.cumprod((2 * i - 1) / (2 * i))))
 
 
 @lru_cache(maxsize=16)
@@ -169,14 +168,13 @@ def discrete_argmin_pmf(T: int) -> np.ndarray:
     P(t_min = k) factorizes into a strictly-positive reversed head and a
     non-negative tail, both classical ballot-type probabilities.
     """
-    k = np.arange(T + 1)
+    u, m = _u_even((T + 1) // 2), np.arange(1, T + 1)
     stay_pos = np.empty(T + 1)
     stay_pos[0] = 1.0
-    m = k[1:]
-    stay_pos[1:] = 0.5 * _u_even(np.where(m % 2 == 0, m // 2, (m - 1) // 2))
+    stay_pos[1:] = 0.5 * u[m // 2]
     stay_nonneg = np.empty(T + 1)
     stay_nonneg[0] = 1.0
-    stay_nonneg[1:] = _u_even(np.where(m % 2 == 0, m // 2, (m + 1) // 2))
+    stay_nonneg[1:] = u[(m + 1) // 2]
     return stay_pos * stay_nonneg[::-1]
 
 

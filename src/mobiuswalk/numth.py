@@ -3,9 +3,9 @@
 Everything here is an exact count plus the handful of analytic estimates
 it is compared against: the prime counting integral, the log log law for
 the mean number of prime divisors, and the shifted Poisson model for the
-factor-count classes.  Prime counts are pi(sqf_n) and divisor shares come
-from square-free counts, both sublinear in sqf_n; only the omega
-statistics stream the sieve over every integer up to sqf_n.
+factor-count classes.  Prime counts are pi(sqf_n) and divisor shares are
+class 0 of the square-free counts mod p, both sublinear in sqf_n; only the
+omega statistics stream the sieve over every integer up to sqf_n.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from math import log
 
 import numpy as np
 
-from .seqgen import (PI2_OVER_6, iter_mobius, mobius_prefix, nth_squarefree,
-                     prime_count, squarefree_multiples)
+from .dirichlet import _progression_counts
+from .seqgen import PI2_OVER_6, iter_mobius, mobius_prefix, nth_squarefree, prime_count
 from .statcore import chi2_pvalue
 
 _SERIES_TOL = 1e-12
@@ -28,7 +28,14 @@ _MAX_OMEGA = 24  # omega = 24 first occurs at the 24th primorial, about 2.4e34
 
 @dataclass(frozen=True)
 class SqfSnapshot:
-    """Accumulated statistics over the first n square-free numbers."""
+    """Accumulated statistics over the first n square-free numbers.
+
+    `mertens` is the running sum of mu and every other field a moment of
+    the omega classes, so the identity sum_k (-1)^k class_counts[k] =
+    mertens checks that the parity of omega agrees with the sign of mu.
+    Both come from the sieve's one accumulator, so it does not check the
+    sieve itself.
+    """
 
     n: int
     sqf_n: int
@@ -40,10 +47,12 @@ class SqfSnapshot:
 
 
 class _Tally:
-    """Running omega histogram, whose moments give primes, omega sums and M."""
+    """Running omega histogram, whose moments give primes and omega sums,
+    beside a running sum of mu."""
 
     def __init__(self):
         self.class_counts = np.zeros(_MAX_OMEGA, dtype=np.int64)
+        self.mertens = 0
 
     def add(self, mu: np.ndarray, om: np.ndarray) -> None:
         """Count a stretch of consecutive integers with these mu and omega."""
@@ -59,12 +68,12 @@ class _Tally:
         pairs = np.bincount(key.view(np.uint16), minlength=2 * _MAX_OMEGA << 8)
         pairs = pairs.reshape(2 * _MAX_OMEGA, 256)
         self.class_counts += pairs[:_MAX_OMEGA].sum(1) + pairs[:, :_MAX_OMEGA].sum(0)
+        self.mertens += int(mu.sum(dtype=np.int64))
 
     def snapshot(self, n: int, sqf_n: int) -> SqfSnapshot:
         cc, k = self.class_counts, np.arange(_MAX_OMEGA, dtype=np.int64)
-        # mu = (-1)^omega on square-free numbers, and the unit is in class 0
         return SqfSnapshot(n, sqf_n, int(cc[1]), int(k @ cc), int(k * k @ cc),
-                           int(cc[0::2].sum() - cc[1::2].sum()), cc.copy())
+                           self.mertens, cc.copy())
 
 
 def scan_squarefree(n: int, checkpoints: tuple = ()) -> list[SqfSnapshot]:
@@ -252,7 +261,8 @@ def omega_table(ordinals) -> list[tuple]:
 
 
 def divisor_table(primes, n: int) -> list[tuple]:
-    """Rows (p, empirical, theoretical, relative_error); p must be prime."""
+    """Rows (p, empirical, theoretical, relative_error); p must be prime.  The
+    square-free multiples of p up to sqf_n are class 0 of the counts mod p."""
     x = nth_squarefree(n)
-    shares = [(p, squarefree_multiples(p, x) / n, 1.0 / (p + 1)) for p in primes]
+    shares = [(p, int(_progression_counts(p, x)[0]) / n, 1.0 / (p + 1)) for p in primes]
     return [(p, emp, theo, abs(emp - theo) * (p + 1)) for p, emp, theo in shares]

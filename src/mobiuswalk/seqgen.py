@@ -248,19 +248,6 @@ def squarefree_count(x: int) -> int:
     return total
 
 
-def squarefree_multiples(p: int, x: int) -> int:
-    """Exact number of square-free m <= x divisible by the prime p: they are
-    p*k, k <= x/p square-free and prime to p, so the count is Q(x // p) less
-    the same count at x // p, i.e. sum_{j>=1} (-1)^(j-1) Q(x // p^j)."""
-    if x < 1 or not is_prime(p):
-        raise ValueError(f"need x >= 1 and p prime, got x={x}, p={p}")
-    total, sign, y = 0, 1, x // p
-    while y:
-        total += sign * squarefree_count(y)
-        sign, y = -sign, y // p
-    return total
-
-
 def nth_squarefree(n: int) -> int:
     """The n-th square-free number (1-based, sqf_1 = 1)."""
     if n < 1:

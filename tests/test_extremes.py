@@ -184,6 +184,20 @@ def test_discrete_argmin_pmf_brute_force():
         assert np.allclose(extremes.discrete_argmin_pmf(T), pmf, atol=1e-12)
 
 
+def test_u_even_against_exact_ratios():
+    # c = C(2j, j) exactly, so c / 4^j is the exact ratio correctly rounded;
+    # each of the 2j roundings of the running product costs at most 2^-53
+    j_max = 50_000
+    u = extremes._u_even(j_max)
+    c = 1
+    for j in range(j_max + 1):
+        if j:
+            c = c * 2 * (2 * j - 1) // j
+        want = c / (1 << 2 * j)  # 4^j
+        assert abs(u[j] - want) <= 2 * j * 2.0 ** -53 * want, j
+    assert c == math.comb(2 * j_max, j_max)
+
+
 def test_arcsine_compare_synthetic():
     # inverse-CDF sampler of the arcsine law, the limit of the finite-T law
     # that a large T follows closely

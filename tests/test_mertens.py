@@ -52,7 +52,8 @@ def test_block_translation_consistency():
 
 
 def test_alternating_class_identity():
-    # snap.mertens is read from the classes, so compare with the sublinear M
+    # snap.mertens shares the sieve's accumulator with the classes, so compare
+    # with the sublinear M
     snaps = numth.scan_squarefree(30000, checkpoints=(123, 4567, 30000))
     for snap in snaps:
         signs = np.where(np.arange(snap.class_counts.size) % 2 == 0, 1, -1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from mobiuswalk import mertens, numth, seqgen
+from mobiuswalk import dirichlet, mertens, numth, seqgen
 
 
 def test_li_squarefree_against_quad():
@@ -35,6 +35,8 @@ def test_divisor_probability():
     assert theo == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         numth.divisor_table((4,), 1000)
+    # sqf_4 = 5: no multiple of 7 yet, one of 5
+    assert numth.divisor_table((7, 5), 4) == [(7, 0.0, 0.125, 1.0), (5, 0.25, 1 / 6, 0.5)]
 
 
 def test_divisor_probability_converges():
@@ -63,7 +65,8 @@ def test_scan_at_segment_edge():
         assert snap.prime_count == seqgen.base_primes(snap.sqf_n).size
         assert int(snap.class_counts.sum()) == snap.n
         for p in primes:
-            assert seqgen.squarefree_multiples(p, snap.sqf_n) == int(sqf[p - 1:snap.sqf_n:p].sum())
+            want = int(sqf[p - 1:snap.sqf_n:p].sum())
+            assert dirichlet._progression_counts(p, snap.sqf_n)[0] == want
         assert _same_snapshot(snap, numth.scan_squarefree(c)[-1])
     # the cut at q_edge leaves no square-free number to carry over; one below does
     carried = numth.scan_squarefree(q_edge + 1, (q_edge - 1,))[-1]

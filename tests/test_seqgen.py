@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mobiuswalk import seqgen
+from mobiuswalk import dirichlet, seqgen
 
 
 def mu_trial_division(m: int) -> int:
@@ -81,21 +81,26 @@ def test_squarefree_density_converges():
         assert abs(dens - 6 / np.pi ** 2) < 2 / np.sqrt(x)
 
 
-def test_squarefree_multiples_against_strided_count():
+def multiples(p: int, x: int) -> int:
+    """Square-free multiples of p up to x: class 0 of the counts mod p."""
+    return int(dirichlet._progression_counts(p, x)[0])
+
+
+def test_progression_class_zero_against_strided_count():
     primes = (2, 3, 5, 7, 97)
     edge = seqgen.DEFAULT_SEGMENT
     sqf = seqgen.mobius_range(1, 10 ** 7 + 1) != 0  # sqf[m - 1]: m square-free
     # every x <= 5000, through running totals of the multiples of p
     for p in primes:
         running = np.cumsum(sqf[:5000] & (np.arange(1, 5001) % p == 0))
-        assert [seqgen.squarefree_multiples(p, x) for x in range(1, 5001)] == running.tolist()
+        assert [multiples(p, x) for x in range(1, 5001)] == running.tolist()
     xs = [int(x) for x in np.random.default_rng(6).integers(5001, 10 ** 7 + 1, size=20)]
     for x in xs + [edge - 1, edge, edge + 1]:
         for p in primes:
-            assert seqgen.squarefree_multiples(p, x) == int(sqf[p - 1:x:p].sum()), (p, x)
+            assert multiples(p, x) == int(sqf[p - 1:x:p].sum()), (p, x)
     for p, x in ((4, 1000), (1, 1000), (0, 1000), (2, 0)):
         with pytest.raises(ValueError):
-            seqgen.squarefree_multiples(p, x)
+            multiples(p, x)
 
 
 def spy_on_sieve(monkeypatch) -> list:
@@ -107,14 +112,14 @@ def spy_on_sieve(monkeypatch) -> list:
     return calls
 
 
-def test_squarefree_multiples_sieves_once(monkeypatch):
-    # every Q(x // p^j), for every p, reads a prefix of the one mu table
+def test_progression_class_zero_sieves_once(monkeypatch):
+    # the counts mod every p read a prefix of the one mu table
     sqf = seqgen.mobius_range(1, 10 ** 6 + 1) != 0
     calls = spy_on_sieve(monkeypatch)
     for p in (2, 3, 997):
-        assert seqgen.squarefree_multiples(p, 10 ** 6) == int(sqf[p - 1::p].sum())
-    assert calls == [(1, isqrt(10 ** 6 // 2) + 1)]
-    assert seqgen.squarefree_multiples(7, 6) == 0 and len(calls) == 1
+        assert multiples(p, 10 ** 6) == int(sqf[p - 1::p].sum())
+    assert calls == [(1, isqrt(10 ** 6) + 1)]
+    assert multiples(7, 6) == 0 and len(calls) == 1
 
 
 @pytest.fixture(scope="module")
