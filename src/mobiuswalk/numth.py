@@ -19,7 +19,7 @@ from math import log
 import numpy as np
 
 from .dirichlet import _progression_counts
-from .seqgen import PI2_OVER_6, iter_mobius, mobius_prefix, nth_squarefree, prime_count
+from .seqgen import PI2_OVER_6, iter_mobius, mobius_prefix, nth_squarefree, prime_counts
 from .statcore import chi2_pvalue
 
 _SERIES_TOL = 1e-12
@@ -235,10 +235,10 @@ def poisson_fit(counts: np.ndarray, lam: float) -> PoissonFit:
 def pi_table(ordinals) -> list[tuple]:
     """Rows (n, observed, theoretical, relative_error) for the prime count,
     one per distinct ordinal, in increasing order."""
+    ns = sorted(set(int(v) for v in ordinals))
+    xs = [nth_squarefree(n) for n in ns]
     rows = []
-    for n in sorted(set(int(v) for v in ordinals)):
-        x = nth_squarefree(n)
-        observed = prime_count(x)
+    for n, x, observed in zip(ns, xs, prime_counts(xs)):
         if observed == 0:
             raise ValueError(f"ordinal {n}: no prime among the first {n} square-free "
                              "numbers, so the relative error is undefined")

@@ -35,7 +35,7 @@ _MIN_SCATTER = 32  # fewer steps than this are cheaper strided than scattered
 _SCATTER_STEPS = 1 << 14  # steps per scattered block at most
 _SCATTER_HITS = 1 << 17  # hits per scattered block at most, unless one step has more
 _COMPRESS_SLICE = 1 << 16  # np.compress builds an int64 index per slice
-_TERM_SLICE = 1 << 16  # d <= sqrt(x) per int64 temporary of an exact count
+_TERM_SLICE = 1 << 16  # terms per int64 temporary of an exact count
 
 MAGIC = b"MSF1"
 FORMAT_VERSION = 1
@@ -80,36 +80,71 @@ def is_prime(n: int) -> bool:
     return n >= 2 and bool(np.all(n % base_primes(isqrt(n)) != 0))
 
 
-def prime_count(x: int) -> int:
-    """pi(x): exact number of primes <= x, by the Lucy/Legendre recursion.
+def prime_counts(xs) -> list[int]:
+    """pi(x) for every x of a batch, in order, by one Lucy/Legendre recursion.
 
     Once the primes below p are sieved out, S(v) counts the m in [2, v]
     that are prime or free of prime factors below p.  It starts at v - 1;
     sieving by p takes away the p j with j in (p - 1, v // p] still counted,
     S(v // p) - S(p - 1) of them, from every S(v) with v >= p^2, and after
-    the primes up to sqrt(x) S(x) = pi(x).  Only the values v = x // k are
-    ever needed: those up to sqrt(x) are kept by value, the rest by k.
-    O(x^(3/4)) time, O(sqrt(x)) memory.
+    the primes up to sqrt(v) S(v) = pi(v).  S depends on v alone, and the
+    values x // k close under v -> v // p = x // (k p).  So the whole batch
+    keeps one sorted table of distinct values: every v <= r = sqrt(max xs)
+    at index v, then the x // k > r of every x.  Sieving by p updates the
+    values >= p^2, a suffix of the table; a source v // p <= r is read at
+    index v // p, and a larger one is found by value.  O(x^(3/4)) time and
+    O(sqrt(x)) memory for the largest x.
+
+    The table holds at most MAX_WINDOW values above r, counted before
+    repeats are dropped; a single x has at most r of them.
     """
-    if x < 2:
-        return 0
-    r = isqrt(x)
+    xs = [max(int(x), 0) for x in xs]
+    if not xs:
+        return []
+    distinct = set(xs)
+    r = isqrt(max(distinct))
     if r > MAX_WINDOW:
-        raise SegmentBudgetError(f"sqrt({x}) = {r} exceeds budget {MAX_WINDOW}")
-    k = np.arange(r + 1, dtype=np.int64)
-    small = k - 1  # small[v] = S(v)
-    large = np.zeros(r + 1, dtype=np.int64)
-    large[1:] = x // k[1:] - 1  # large[k] = S(x // k)
+        raise SegmentBudgetError(f"sqrt({max(distinct)}) = {r} exceeds budget {MAX_WINDOW}")
+    size = sum(x // (r + 1) for x in distinct)  # the x // k > r, with repeats
+    if size > MAX_WINDOW:
+        raise SegmentBudgetError(
+            f"{size} quotients above sqrt(max x) = {r}: count exceeds budget {MAX_WINDOW}")
+    vals = np.empty(r + 1 + size, dtype=np.int64)
+    vals[:r + 1] = np.arange(r + 1)
+    large, at = vals[r + 1:], 0
+    for x in distinct:
+        quotients = large[at:at + x // (r + 1)]
+        quotients[:] = np.arange(quotients.size, 0, -1)
+        np.floor_divide(x, quotients, out=quotients)
+        at += quotients.size
+    large.sort()
+    first = np.ones(large.size, dtype=bool)  # repeats go within the table
+    np.not_equal(large[1:], large[:-1], out=first[1:])
+    size = int(np.count_nonzero(first))
+    large[:size] = large[first]
+    vals = vals[:r + 1 + size]
+    s = vals - 1  # s[i] = S(vals[i])
+    s[0] = 0  # never a source; pi(0) reads it
     for p in base_primes(r).tolist():
-        below = int(small[p - 1])
-        top = min(r, x // (p * p))
-        # every right side reads S before the update by p: large before
-        # small, and each right side is evaluated before it is written
-        mid = min(top, r // p)  # x // k // p = x // (k p) is large[k p] up to mid
-        large[1:mid + 1] -= large[p:mid * p + 1:p] - below
-        large[mid + 1:top + 1] -= small[x // (k[mid + 1:top + 1] * p)] - below
-        small[p * p:] -= small[k[p * p:] // p] - below
-    return int(large[1])
+        below = int(s[p - 1])
+        # the v >= p^2 start at index lo, the v with v // p > r at mid
+        lo, mid = np.searchsorted(vals, (p * p, p * (r + 1))).tolist()
+        # every right side reads S before the update by p: a source lies
+        # below its target, so the slices run down from the top, and each
+        # right side is evaluated before it is written
+        for b in range(vals.size, lo, -_TERM_SLICE):
+            a = max(b - _TERM_SLICE, lo)
+            src = vals[a:b] // p  # the index of v // p <= r
+            if b > mid:  # a larger v // p is found by value
+                c = max(mid - a, 0)
+                src[c:] = np.searchsorted(vals, src[c:])
+            s[a:b] -= s[src] - below
+    return s[np.searchsorted(vals, xs)].tolist()
+
+
+def prime_count(x: int) -> int:
+    """pi(x): exact number of primes <= x (see `prime_counts`)."""
+    return prime_counts([x])[0]
 
 
 def _hits(lo: int, n: int, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

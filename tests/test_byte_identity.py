@@ -12,6 +12,10 @@ table hash before the arcsine and tau fits shared one front end, the
 numth reprs hash before the omega histogram became the scan's only tally)
 and pins behaviour for later performance work: a faster path that changes
 any JSONL, CSV or MSF byte fails here.
+
+Every hash was recorded on Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
+Some bytes rest on numpy's FFT and summation order, so other versions may
+not reproduce them.
 """
 
 import hashlib

@@ -48,21 +48,15 @@ def test_gen_and_battery_load_no_scipy(tmp_path, full_block_file):
                                      "--blocks", "1", "--block-len", "1410000",
                                      "--workers", "1", "--out", str(tmp_path / "r.jsonl")])
     assert code in (0, 1) and modules == []
-    # the argmin law is a running product and the divisor shares are residue counts
+    # the argmin law is a running product, the divisor shares are residue
+    # counts and the tau moments are tabulated
     for argv in (["extremes", "--seq", str(full_block_file), "--segments", "1000",
                   "--seg-len", "1000", "--out", str(tmp_path / "x")],
                  ["tables", "--which", "divisor", "--n", "1e6", "--out", str(tmp_path / "d.csv")],
                  ["tables", "--which", "residue", "--q", "7", "--x", "1e6",
-                  "--out", str(tmp_path / "res.csv")]):
-        assert scipy_loaded_by(argv) == (0, []), argv
-
-
-def test_extremes_and_tau_table_skip_quadrature(tmp_path, full_block_file):
-    for argv in (["extremes", "--seq", str(full_block_file), "--segments", "1000",
-                  "--seg-len", "1000", "--out", str(tmp_path / "x")],
+                  "--out", str(tmp_path / "res.csv")],
                  ["tables", "--which", "tau", "--out", str(tmp_path / "tau.csv")]):
-        code, modules = scipy_loaded_by(argv)
-        assert code == 0 and "scipy.integrate" not in modules, argv
+        assert scipy_loaded_by(argv) == (0, []), argv
 
 
 def test_gen_roundtrip_and_determinism(tmp_path, capsys):

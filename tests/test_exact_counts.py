@@ -1,6 +1,6 @@
 """The sublinear counts against the linear scans they replaced.
 
-`prime_count` (pi(x) by the Lucy/Legendre recursion), the progression
+`prime_counts` (pi(x) by the Lucy/Legendre recursion), the progression
 counts (a sum over mu(d), d <= sqrt(x)) and `mertens_restricted` (the
 Mertens function at sqf_n) are each checked exhaustively on small inputs,
 at seeded random inputs, at the first sieve segment edge, against
@@ -32,9 +32,9 @@ def linear_progression_counts(moduli, x_max: int) -> dict:
     from one streamed sieve."""
     counts = {q: np.zeros(q, dtype=np.int64) for q in moduli}
     for seg_lo, _, mu in seqgen.iter_mobius(2, x_max + 1):
-        sqf = mu != 0
+        sqf = np.flatnonzero(mu != 0) + seg_lo
         for q in moduli:
-            counts[q] += [int(sqf[(r - seg_lo) % q::q].sum()) for r in range(q)]
+            counts[q] += np.bincount(sqf % q, minlength=q)
     return counts
 
 
@@ -58,6 +58,22 @@ def test_prime_count_against_base_primes():
     xs = [int(v) for v in rng.integers(5000, 2 * 10 ** 7, size=20)]
     for x in xs + [EDGE - 1, EDGE, EDGE + 1]:
         assert seqgen.prime_count(x) == _primes_upto(x), x
+
+
+def test_prime_counts_batch():
+    # one batch, unsorted and with repeats: 0, 1, 2, every side of
+    # r = isqrt(2e7) = 4472 and of r^2, seeded x up to 2e7 and the segment edge
+    rng = np.random.default_rng(74)
+    r = isqrt(2 * 10 ** 7)
+    xs = ([0, 1, 2, r - 1, r, r + 1, r * r - 1, r * r, 2 * 10 ** 7, EDGE - 1, EDGE, EDGE + 1]
+          + [int(v) for v in rng.integers(3, 2 * 10 ** 7, size=30)]
+          + [int(v) for v in rng.integers(3, r, size=10)])
+    xs += xs[::3]
+    rng.shuffle(xs)
+    want = [_primes_upto(x) if x >= 2 else 0 for x in xs]
+    assert seqgen.prime_counts(xs) == want
+    assert [seqgen.prime_count(x) for x in xs] == want
+    assert seqgen.prime_counts([]) == []
 
 
 def test_progression_counts_small_x():
@@ -187,7 +203,7 @@ def test_count_arguments_rejected():
         seqgen.squarefree_count(0)
 
 
-def test_exact_counts_over_budget_raise_before_sieving(monkeypatch):
+def test_exact_counts_over_budget_raise_before_sieving(monkeypatch, traced_peak):
     def no_sieve(*args):
         raise AssertionError("sieved past the budget")
 
@@ -202,3 +218,10 @@ def test_exact_counts_over_budget_raise_before_sieving(monkeypatch):
     with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
         seqgen.prime_count(2 ** 60)
     assert time.perf_counter() - start < 1.0
+
+    # each x is in budget, but the batch would hold about 2^36 values above
+    # sqrt(2^52) = 2^26: two int64 tables of 512 GiB
+    def over_budget_batch():
+        with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
+            seqgen.prime_counts([2 ** 52 - i for i in range(1024)])
+    assert traced_peak(over_budget_batch) < 1 << 20
