@@ -19,7 +19,8 @@ from math import log
 import numpy as np
 
 from .dirichlet import _progression_counts
-from .seqgen import PI2_OVER_6, iter_mobius, mobius_prefix, nth_squarefree, prime_counts
+from .seqgen import (PI2_OVER_6, iter_mobius, mobius_prefix, nth_squarefree, prime_counts,
+                     prime_counts_budget, sqf_bounds)
 from .statcore import chi2_pvalue
 
 _SERIES_TOL = 1e-12
@@ -58,7 +59,7 @@ class _Tally:
         """Count a stretch of consecutive integers with these mu and omega."""
         # No boolean-mask gather: each integer gets one byte, its omega if
         # square-free and omega + _MAX_OMEGA, a dropped bin, if not (omega
-        # <= 16).  bincount takes the bytes in pairs as uint16, so it widens
+        # <= 15).  bincount takes the bytes in pairs as uint16, so it widens
         # half as many entries, and the row and column sums of the pair
         # histogram count both bytes.  An odd stretch pads a dropped byte.
         n = mu.size
@@ -236,6 +237,9 @@ def pi_table(ordinals) -> list[tuple]:
     """Rows (n, observed, theoretical, relative_error) for the prime count,
     one per distinct ordinal, in increasing order."""
     ns = sorted(set(int(v) for v in ordinals))
+    if ns:  # bounds on each sqf_n refuse an over-budget batch before any sieving
+        bounds = [sqf_bounds(n) for n in ns]
+        prime_counts_budget([low for low, _ in bounds], bounds[-1][1])
     xs = [nth_squarefree(n) for n in ns]
     rows = []
     for n, x, observed in zip(ns, xs, prime_counts(xs)):

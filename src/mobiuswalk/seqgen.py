@@ -6,12 +6,13 @@ Ordinals are 1-based with square-free number #1 equal to 1.
 
 Windows of exact mu values come from a segmented sieve without division:
 each entry counts the primes p <= sqrt(hi) dividing it and sums their
-floor(16 log2 p), and multiples of p^2 are marked.  A square-free entry
+floor(16 log2 p), and multiples of p^2 are marked in bit 15 of the same
+uint16 accumulator, which no count or sum reaches.  A square-free entry
 whose log sum falls well short of its own log has one prime factor >
 sqrt(hi) left over (Helfgott, Math. Comp. 89 (2020)).  Primes that hit the
 window often are strided slices; the rest, and their squares, are
 scattered in one vectorised pass, so a narrow window is cheap.  mu is
-assembled by arithmetic and square-free entries are taken with
+assembled by arithmetic, a slice at a time, and square-free entries are taken with
 `np.compress`, because a store or a gather through a boolean mask
 branches on each entry of a mask that is random to the CPU and cost
 about as much as the strided primes.
@@ -34,7 +35,8 @@ _STRIDE_HITS = 64
 _MIN_SCATTER = 32  # fewer steps than this are cheaper strided than scattered
 _SCATTER_STEPS = 1 << 14  # steps per scattered block at most
 _SCATTER_HITS = 1 << 17  # hits per scattered block at most, unless one step has more
-_COMPRESS_SLICE = 1 << 16  # np.compress builds an int64 index per slice
+_COMPRESS_SLICE = 1 << 16  # entries per slice of mu's assembly and np.compress
+_SQUARE = 1 << 15  # the accumulator's mark of a square factor
 _TERM_SLICE = 1 << 16  # terms per int64 temporary of an exact count
 
 MAGIC = b"MSF1"
@@ -102,13 +104,7 @@ def prime_counts(xs) -> list[int]:
     if not xs:
         return []
     distinct = set(xs)
-    r = isqrt(max(distinct))
-    if r > MAX_WINDOW:
-        raise SegmentBudgetError(f"sqrt({max(distinct)}) = {r} exceeds budget {MAX_WINDOW}")
-    size = sum(x // (r + 1) for x in distinct)  # the x // k > r, with repeats
-    if size > MAX_WINDOW:
-        raise SegmentBudgetError(
-            f"{size} quotients above sqrt(max x) = {r}: count exceeds budget {MAX_WINDOW}")
+    r, size = prime_counts_budget(distinct, max(distinct))
     vals = np.empty(r + 1 + size, dtype=np.int64)
     vals[:r + 1] = np.arange(r + 1)
     large, at = vals[r + 1:], 0
@@ -142,18 +138,44 @@ def prime_counts(xs) -> list[int]:
     return s[np.searchsorted(vals, xs)].tolist()
 
 
+def prime_counts_budget(xs, top: int) -> tuple[int, int]:
+    """(r, size) of `prime_counts` at the distinct xs, none above top: r =
+    sqrt(max xs), and size counts the x // k > sqrt(top) over the xs, with
+    repeats.  Raises SegmentBudgetError if either exceeds MAX_WINDOW.  Both
+    grow with each x, and size shrinks as top grows, so lower bounds of the
+    distinct xs and an upper bound of their largest refuse only a batch that
+    `prime_counts` would refuse."""
+    r = isqrt(max(xs))
+    if r > MAX_WINDOW:
+        raise SegmentBudgetError(f"sqrt({max(xs)}) = {r} exceeds budget {MAX_WINDOW}")
+    size = sum(x // (isqrt(top) + 1) for x in xs)
+    if size > MAX_WINDOW:
+        raise SegmentBudgetError(
+            f"{size} quotients above sqrt(max x) = {isqrt(top)}: count exceeds budget "
+            f"{MAX_WINDOW}")
+    return r, size
+
+
 def prime_count(x: int) -> int:
     """pi(x): exact number of primes <= x (see `prime_counts`)."""
     return prime_counts([x])[0]
 
 
-def _hits(lo: int, n: int, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, owner): lo + idx[i] in [lo, lo + n) is a multiple of steps[owner[i]]."""
+def _hits(lo: int, n: int, steps: np.ndarray, values=None) -> tuple:
+    """(idx, val): lo + idx[i] in [lo, lo + n) is a multiple of the step whose
+    value is val[i] (val is None without values); each step's hits come in
+    order, after those of the steps before it."""
     start = (-lo) % steps
     count = np.maximum((n - 1 - start) // steps + 1, 0)
-    owner = np.repeat(np.arange(steps.size), count)
-    j = np.arange(owner.size) - (np.cumsum(count) - count)[owner]
-    return start[owner] + j * steps[owner], owner
+    # one int64 per hit: the gap to it from the hit before, which is its step
+    # but at a step's first hit, where it is the jump from the last hit of
+    # the step before; a cumulative sum in place turns the gaps into hits
+    idx = np.repeat(steps, count)
+    hit = count > 0
+    jump = start[hit]
+    jump[1:] -= (start + (count - 1) * steps)[hit][:-1]
+    idx[(np.cumsum(count) - count)[hit]] = jump
+    return np.cumsum(idx, out=idx), None if values is None else np.repeat(values, count)
 
 
 def _scatter_blocks(steps: np.ndarray, a: int, n: int) -> Iterator[tuple[int, int]]:
@@ -182,42 +204,46 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, want_omega: bool):
     primes = primes[:np.searchsorted(primes, max(isqrt(hi - 1), 3), "right")]
     squares = primes * primes
     # acc[i] adds (floor(16 log2 p) << 4) | 1 for each sieving p | lo + i:
-    # the low 4 bits count those p, the high bits sum S of their logs
+    # the low 4 bits count those p, at most 15 (the first 16 primes multiply
+    # past 2^63), and the bits above sum S of their logs, S < 16 * 63, so no
+    # add reaches bits 14 and 15.  Bit 15 marks a square factor.
     steps = ((16 * np.log2(primes)).astype(np.uint16) << 4) | 1
     acc = np.zeros(n, dtype=np.uint16)
-    squarefree = np.ones(n, dtype=bool)
     cut, cut2 = _stride_cut(primes, n), _stride_cut(squares, n)
     for p, step in zip(primes[:cut].tolist(), steps[:cut].tolist()):
         acc[(-lo) % p::p] += step
     for p2 in squares[:cut2].tolist():
-        squarefree[(-lo) % p2::p2] = False
+        acc[(-lo) % p2::p2] |= _SQUARE
     for a, b in _scatter_blocks(primes, cut, n):
-        idx, owner = _hits(lo, n, primes[a:b])
-        np.add.at(acc, idx, steps[a + owner])
+        np.add.at(acc, *_hits(lo, n, primes[a:b], steps[a:b]))
     for a, b in _scatter_blocks(squares, cut2, n):
-        squarefree[_hits(lo, n, squares[a:b])[0]] = False
+        acc[_hits(lo, n, squares[a:b])[0]] |= _SQUARE
     # Square-free m has at most one prime factor q > sqrt(hi - 1) and c <= 15
-    # sieving ones (the first 16 primes multiply past 2^63).  Each floor loses
-    # under 1 (float error is far below the margin), so 16 log2 m - S < c
-    # without q, and >= 16 log2 5 > 37 with q (q >= 5, as 2 and 3 are sieved).
-    # On m in [2^k, 2^(k+1)) that puts S above 16k - 15 without q and below
-    # 16k - 21 with it: q is there exactly when S < 16(k - 1), acc < 256(k - 1).
-    leftover = np.zeros(n, dtype=bool)  # no q below 4, as 2 and 3 are sieved
-    for k in range(max(lo.bit_length() - 1, 2), (hi - 1).bit_length()):
-        a, b = max(lo, 1 << k) - lo, min(hi, 2 << k) - lo
-        np.less(acc[a:b], 256 * (k - 1), out=leftover[a:b])
-    # int8 outputs straight from the uint16 loop, with no wide temporary
+    # sieving ones.  Each floor loses under 1 (float error is far below the
+    # margin), so 16 log2 m - S < c without q, and >= 16 log2 5 > 37 with q
+    # (q >= 5, as 2 and 3 are sieved).  On m in [2^k, 2^(k+1)) that puts S
+    # above 16k - 15 without q and below 16k - 21 with it: q is there exactly
+    # when S < 16(k - 1), acc < 256(k - 1) < _SQUARE.  mu and omega are built
+    # a slice at a time, each slice within one such range of m, so that no
+    # temporary spans the segment; int8 outputs come straight from the
+    # uint16 loop, with no wide temporary.
     mu = np.empty(n, dtype=np.int8)
-    np.bitwise_and(acc, 1, out=mu, casting="unsafe")
-    mu ^= leftover  # parity of the number of prime factors
-    mu *= -2
-    mu += 1
-    np.multiply(mu, squarefree, out=mu)
-    if not want_omega:
-        return mu, None
-    omega = np.empty(n, dtype=np.uint8)
-    np.bitwise_and(acc, 15, out=omega, casting="unsafe")
-    omega += leftover
+    omega = np.empty(n, dtype=np.uint8) if want_omega else None
+    a = 0
+    while a < n:
+        k = (lo + a).bit_length() - 1
+        b = min(a + _COMPRESS_SLICE, (2 << k) - lo, n)
+        part, out = acc[a:b], mu[a:b]
+        leftover = part < 256 * max(k - 1, 0)  # no q below 4, as 2 and 3 are sieved
+        np.bitwise_and(part, 1, out=out, casting="unsafe")
+        out ^= leftover  # parity of the number of prime factors
+        out *= -2
+        out += 1
+        np.multiply(out, part < _SQUARE, out=out)
+        if want_omega:
+            np.bitwise_and(part, 15, out=omega[a:b], casting="unsafe")
+            omega[a:b] += leftover
+        a = b
     return mu, omega
 
 
@@ -302,6 +328,24 @@ def nth_squarefree(n: int) -> int:
         w *= 2
 
 
+def sqf_bounds(n: int) -> tuple[int, int]:
+    """(low, high) with low <= sqf_n <= high, found without sieving.
+
+    With s = isqrt(x), Q(x) = x sum_{d <= s} mu(d) / d^2 - sum_{d <= s}
+    mu(d) {x / d^2}.  The first sum is within sum_{d > s} 1 / d^2 < 1 / s of
+    6 / pi^2, and the second is below s in size.  As x < (s + 1)^2, x / s + s
+    < 2 s + 3, so |Q(x) - 6x / pi^2| < 2 sqrt(x) + 3.  At x = sqf_n, Q(x) = n,
+    and each side of that bound is a quadratic in sqrt(x); a relative margin
+    of 1e-12 covers the float error.
+    """
+    if n < 1:
+        raise ValueError(f"ordinal must be >= 1, got {n}")
+    a = 1 / PI2_OVER_6
+    low = ((max(1 + a * (n - 3), 1) ** 0.5 - 1) / a) ** 2
+    high = ((1 + (1 + a * (n + 3)) ** 0.5) / a) ** 2
+    return max(int(low * (1 - 1e-12)), 1), int(high * (1 + 1e-12)) + 1
+
+
 @dataclass(frozen=True)
 class BitSequence:
     """A window of the bit sequence, packed LSB-first within each byte."""
@@ -341,7 +385,10 @@ class BitSequence:
 
     def slice_mu(self, ordinal: int, count: int) -> np.ndarray:
         """Signed mu values in {-1,+1} for the same window."""
-        return (2 * self.slice_bits(ordinal, count).astype(np.int8) - 1)
+        mu = self.slice_bits(ordinal, count).astype(np.int8)
+        mu *= 2
+        mu -= 1
+        return mu
 
 
 def iter_restricted_bits(start_ordinal: int, length: int) -> Iterator[np.ndarray]:

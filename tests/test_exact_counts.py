@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mobiuswalk import dirichlet, mertens, numth, seqgen
+from mobiuswalk import cli, dirichlet, mertens, numth, seqgen
 
 EDGE = seqgen.DEFAULT_SEGMENT  # the last integer of the first sieve segment
 MODULI = (2, 3, 7, 11, 101)
@@ -225,3 +225,23 @@ def test_exact_counts_over_budget_raise_before_sieving(monkeypatch, traced_peak)
         with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
             seqgen.prime_counts([2 ** 52 - i for i in range(1024)])
     assert traced_peak(over_budget_batch) < 1 << 20
+
+
+def test_pi_table_refuses_before_sieving(monkeypatch):
+    # the ten marks of `tables --which pi --n 2e14` hold about 1e8 quotients
+    # above their root: bounds on each sqf_n refuse them before any Q(x)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("sieved past the budget")
+
+    monkeypatch.setattr(seqgen, "squarefree_count", spy)
+    monkeypatch.setattr(seqgen, "iter_mobius", spy)
+    monkeypatch.setattr(numth, "iter_mobius", spy)
+    with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
+        numth.pi_table(cli._marks(2e14))
+    assert calls == []
+    # the early check passes the largest n that prime_counts admits
+    bounds = [seqgen.sqf_bounds(n) for n in cli._marks(90507801439204)]
+    seqgen.prime_counts_budget([low for low, _ in bounds], bounds[-1][1])

@@ -213,6 +213,19 @@ def test_nth_squarefree():
         assert seqgen.nth_squarefree(int(n)) == sqf[n - 1], n
 
 
+def test_sqf_bounds():
+    # proven bounds on sqf_n, found without sieving, hold around every sqf_n
+    # up to 5000 and seeded ones up to 1e13, and are within about 6.6 sqrt(x)
+    sqf = 1 + np.flatnonzero(seqgen.mobius_range(1, 8500))
+    ns = list(range(1, 5001)) + np.random.default_rng(7).integers(1, 10 ** 13, 20).tolist()
+    for n in ns:
+        low, high = seqgen.sqf_bounds(n)
+        x = int(sqf[n - 1]) if n <= 5000 else seqgen.nth_squarefree(n)
+        assert low <= x <= high and high - low < 7 * isqrt(high) + 10, n
+    with pytest.raises(ValueError):
+        seqgen.sqf_bounds(0)
+
+
 def test_nth_squarefree_near_1e12():
     # checked through the exact count and mu, not through the window search
     for n in (10 ** 12 - 7, 10 ** 12 + 123_457):
@@ -325,7 +338,7 @@ def test_generate_sequence_file_working_set(tmp_path, traced_peak):
 
 
 def test_generate_sequence_file_matches_in_memory(tmp_path, monkeypatch):
-    # pyproject.toml allows numpy >= 1.24, which has no np.bitwise_count (2.0)
+    # the writer needs no np.bitwise_count, which numpy added in 2.0
     monkeypatch.delattr(np, "bitwise_count", raising=False)
     path = tmp_path / "gen.msf"
     summary = seqgen.generate_sequence_file(path, 5, 3000)

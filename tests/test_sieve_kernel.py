@@ -6,7 +6,9 @@ residue array by every base prime and counts what is left over.  The
 current kernel must give the same mu everywhere and the same omega wherever
 mu != 0 (the only place omega is read), on every small window, across the
 strided/scattered cut, at the sieve's segment edge, at large offsets and on
-integers built to sit closest to the log-sum threshold.
+integers built to sit closest to the log-sum threshold.  Everywhere else
+omega must stay at most 15, clear of the square marks that share its
+accumulator, so that `numth._Tally` drops those entries.
 """
 
 from math import isqrt, prod
@@ -55,6 +57,7 @@ def assert_same(got, want, where):
     want_mu, want_omega = want
     assert np.array_equal(mu, want_mu), where
     assert np.array_equal(omega[mu != 0], want_omega[mu != 0]), where
+    assert omega.max(initial=0) <= 15, where
 
 
 def test_every_window_below_300():
@@ -95,6 +98,18 @@ def test_scatter_blocks_bound_their_hits(lo):
         for a, b in blocks:
             hits = int(((lo + n - 1) // steps[a:b] - (lo - 1) // steps[a:b]).sum())
             assert 0 < b - a <= seqgen._SCATTER_STEPS and hits <= seqgen._SCATTER_HITS
+
+
+@pytest.mark.parametrize("want_omega", (False, True))
+@pytest.mark.parametrize("lo, n", ((10 ** 9, SEGMENT), (10 ** 12, 4 * SEGMENT)))
+def test_segment_working_set(lo, n, want_omega, traced_peak):
+    # the accumulator (2 bytes per integer), mu and omega (1 each), and the
+    # scatter budget: 16 bytes for each of _SCATTER_HITS hits, where a
+    # scattered block holds 10, which also covers the base-prime arrays and
+    # mu's slices
+    primes = seqgen.base_primes(isqrt(lo + n - 1))
+    peak = traced_peak(lambda: seqgen._sieve_segment(lo, lo + n, primes, want_omega))
+    assert peak < (3 + want_omega) * n + 16 * seqgen._SCATTER_HITS
 
 
 def test_primorial_times_smallest_leftover():
