@@ -206,18 +206,19 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, want_omega: bool):
     # acc[i] adds (floor(16 log2 p) << 4) | 1 for each sieving p | lo + i:
     # the low 4 bits count those p, at most 15 (the first 16 primes multiply
     # past 2^63), and the bits above sum S of their logs, S < 16 * 63, so no
-    # add reaches bits 14 and 15.  Bit 15 marks a square factor.
+    # add reaches bits 14 and 15.  Bit 15 marks a square factor; the marks
+    # go first, as stores into zeros, which cost less than setting a bit.
     steps = ((16 * np.log2(primes)).astype(np.uint16) << 4) | 1
     acc = np.zeros(n, dtype=np.uint16)
     cut, cut2 = _stride_cut(primes, n), _stride_cut(squares, n)
+    for p2 in squares[:cut2].tolist():
+        acc[(-lo) % p2::p2] = _SQUARE
+    for a, b in _scatter_blocks(squares, cut2, n):
+        acc[_hits(lo, n, squares[a:b])[0]] = _SQUARE
     for p, step in zip(primes[:cut].tolist(), steps[:cut].tolist()):
         acc[(-lo) % p::p] += step
-    for p2 in squares[:cut2].tolist():
-        acc[(-lo) % p2::p2] |= _SQUARE
     for a, b in _scatter_blocks(primes, cut, n):
         np.add.at(acc, *_hits(lo, n, primes[a:b], steps[a:b]))
-    for a, b in _scatter_blocks(squares, cut2, n):
-        acc[_hits(lo, n, squares[a:b])[0]] |= _SQUARE
     # Square-free m has at most one prime factor q > sqrt(hi - 1) and c <= 15
     # sieving ones.  Each floor loses under 1 (float error is far below the
     # margin), so 16 log2 m - S < c without q, and >= 16 log2 5 > 37 with q
