@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .mertens import Ensemble
-from .seqgen import BitSequence
+from .seqgen import BitSequence, _signs
 from .statcore import (DEFAULT_ALPHA, UNIFORMITY_MIN_SIZE, chi2_pvalue, chi2_test,
                        erfc_pvalue, passes, proportion_check, pvalue_uniformity)
 
@@ -68,14 +68,6 @@ def _as_bits(block) -> np.ndarray:
     if not cast_exact or (bits.size and bits.max() > 1):
         raise ValueError("block values must be 0 or 1")
     return bits
-
-
-def _signs(bits: np.ndarray, dtype) -> np.ndarray:
-    """The values 2b - 1 in a signed dtype, built without a wider temporary."""
-    signs = bits.astype(dtype)
-    signs *= 2
-    signs -= 1
-    return signs
 
 
 def _walk(bits: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqgen import BitSequence, iter_mobius, mobius_prefix, nth_squarefree
+from .seqgen import (BitSequence, _prime_table, _sieve_pass, base_primes, iter_mobius,
+                     nth_squarefree)
 
 _PARTIAL_SUM_GUARD = 1e-12  # rounding slack of the float prefix sums of mu(m)/m
 
@@ -88,30 +89,21 @@ def block_sums(ens: Ensemble, seq: BitSequence) -> np.ndarray:
 
 
 def mertens_function(x: int) -> int:
-    """M(x): the exact sum of mu(m) over m <= x, in O(x^(2/3)) time.
+    """M(x), the exact sum of mu(m) over m <= x, on the table of `_prime_table`.
 
-    mu is sieved to u ~ x^(2/3) into prefix sums.  Each quotient v = x // k
-    above u then takes M(v) = 1 - sum_{d>=2} M(v // d): the quotients above
-    sqrt(v) one d at a time (v // d = x // (k d) is again a quotient, or at
-    most u), the rest t <= sqrt(v) grouped by the v // t - v // (t + 1)
-    values of d that share them.  Larger k come first.
+    There H(v) = -pi(v) sums mu over the primes <= v.  For each prime p <=
+    sqrt(x), largest first, H(v) -= H(v // p) - H(p) at every v >= p^2 adds
+    mu(p m) = -mu(m) for the m in (p, v // p] that are prime or square-free
+    with no prime factor <= p: the square-free composites with least prime
+    factor p (the second phase of the min_25 sieve).  H(p) is still -pi(p)
+    then.  M(x) = 1 + H(x), in the time and memory and within the bound of pi(x).
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    u = min(x, max(math.isqrt(x), int(x ** (2 / 3))))
-    small = np.cumsum(mobius_prefix(u), dtype=np.int32)  # small[v] = M(v); |M(v)| << 2^31
-    big = x // (u + 1)  # x // k > u exactly for k <= big
-    large = np.zeros(big + 1, dtype=np.int64)  # large[k] = M(x // k)
-    for k in range(big, 0, -1):
-        v = x // k
-        s = math.isqrt(v)
-        t = np.arange(1, s + 2, dtype=np.int64)
-        grouped = int(np.diff(-(v // t)) @ small[1:s + 1])
-        kd = k * np.arange(2, v // (s + 1) + 1, dtype=np.int64)
-        inner = kd <= big
-        large[k] = (1 - grouped - int(large[kd[inner]].sum())
-                    - int(small[x // kd[~inner]].sum()))
-    return int(large[1]) if big else int(small[x])
+    vals, h = _prime_table([x])
+    h *= -1
+    _sieve_pass(vals, h, base_primes(math.isqrt(x))[::-1].tolist(), 0)
+    return 1 + int(h[-1])
 
 
 def mertens_restricted(n: int) -> int:

@@ -83,7 +83,16 @@ def is_prime(n: int) -> bool:
 
 
 def prime_counts(xs) -> list[int]:
-    """pi(x) for every x of a batch, in order, by one Lucy/Legendre recursion.
+    """pi(x) for every x of a batch, in order, read from `_prime_table`."""
+    xs = [max(int(x), 0) for x in xs]
+    if not xs:
+        return []
+    vals, s = _prime_table(xs)
+    return s[np.searchsorted(vals, xs)].tolist()
+
+
+def _prime_table(xs) -> tuple[np.ndarray, np.ndarray]:
+    """(vals, pi(vals)) by one Lucy/Legendre recursion over the xs >= 0.
 
     Once the primes below p are sieved out, S(v) counts the m in [2, v]
     that are prime or free of prime factors below p.  It starts at v - 1;
@@ -92,17 +101,10 @@ def prime_counts(xs) -> list[int]:
     the primes up to sqrt(v) S(v) = pi(v).  S depends on v alone, and the
     values x // k close under v -> v // p = x // (k p).  So the whole batch
     keeps one sorted table of distinct values: every v <= r = sqrt(max xs)
-    at index v, then the x // k > r of every x.  Sieving by p updates the
-    values >= p^2, a suffix of the table; a source v // p <= r is read at
-    index v // p, and a larger one is found by value.  O(x^(3/4)) time and
-    O(sqrt(x)) memory for the largest x.
-
-    The table holds at most MAX_WINDOW values above r, counted before
-    repeats are dropped; a single x has at most r of them.
+    at index v, then the x // k > r of every x.  O(x^(3/4)) time and
+    O(sqrt(x)) memory for the largest x.  The table holds at most MAX_WINDOW
+    values above r, counted with repeats; a single x has at most r of them.
     """
-    xs = [max(int(x), 0) for x in xs]
-    if not xs:
-        return []
     distinct = set(xs)
     r, size = prime_counts_budget(distinct, max(distinct))
     vals = np.empty(r + 1 + size, dtype=np.int64)
@@ -121,11 +123,19 @@ def prime_counts(xs) -> list[int]:
     vals = vals[:r + 1 + size]
     s = vals - 1  # s[i] = S(vals[i])
     s[0] = 0  # never a source; pi(0) reads it
-    for p in base_primes(r).tolist():
-        below = int(s[p - 1])
+    _sieve_pass(vals, s, base_primes(r).tolist(), 1)
+    return vals, s
+
+
+def _sieve_pass(vals: np.ndarray, s: np.ndarray, primes, shift: int) -> None:
+    """For each p of primes in turn, s(v) -= s(v // p) - s(p - shift) at
+    every v >= p^2 of a `_prime_table` table, in place."""
+    r = isqrt(int(vals[-1]))
+    for p in primes:
+        below = int(s[p - shift])
         # the v >= p^2 start at index lo, the v with v // p > r at mid
         lo, mid = np.searchsorted(vals, (p * p, p * (r + 1))).tolist()
-        # every right side reads S before the update by p: a source lies
+        # every right side reads s before the update by p: a source lies
         # below its target, so the slices run down from the top, and each
         # right side is evaluated before it is written
         for b in range(vals.size, lo, -_TERM_SLICE):
@@ -135,7 +145,6 @@ def prime_counts(xs) -> list[int]:
                 c = max(mid - a, 0)
                 src[c:] = np.searchsorted(vals, src[c:])
             s[a:b] -= s[src] - below
-    return s[np.searchsorted(vals, xs)].tolist()
 
 
 def prime_counts_budget(xs, top: int) -> tuple[int, int]:
@@ -386,10 +395,15 @@ class BitSequence:
 
     def slice_mu(self, ordinal: int, count: int) -> np.ndarray:
         """Signed mu values in {-1,+1} for the same window."""
-        mu = self.slice_bits(ordinal, count).astype(np.int8)
-        mu *= 2
-        mu -= 1
-        return mu
+        return _signs(self.slice_bits(ordinal, count), np.int8)
+
+
+def _signs(bits: np.ndarray, dtype) -> np.ndarray:
+    """The values 2b - 1 in a signed dtype, built without a wider temporary."""
+    signs = bits.astype(dtype)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def iter_restricted_bits(start_ordinal: int, length: int) -> Iterator[np.ndarray]:

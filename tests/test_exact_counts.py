@@ -46,6 +46,44 @@ def linear_mertens_restricted(n: int) -> int:
     return total
 
 
+def oracle_mobius(n: int) -> np.ndarray:
+    """mu(0..n), mu(0) = 0, from a sieve of its own: each prime p <= sqrt(n)
+    flips the sign of its multiples and multiplies into their product, and
+    zeroes the multiples of p^2; a square-free m whose product falls short
+    of m has one prime factor above sqrt(n) more."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    prod = np.ones(n + 1, dtype=np.int64)
+    for p in range(2, isqrt(n) + 1):
+        if prod[p] == 1:  # no smaller prime divides p
+            mu[::p] *= -1
+            prod[::p] *= p
+            mu[::p * p] = 0
+    mu[prod < np.arange(n + 1)] *= -1
+    mu[0] = 0
+    return mu
+
+
+def recursive_mertens(x: int) -> int:
+    """M(x) from `oracle_mobius` summed to u ~ x^(2/3) and, at each quotient
+    v = x // k above u, M(v) = 1 - sum_{d>=2} M(v // d): the quotients above
+    sqrt(v) one d at a time, the rest t <= sqrt(v) grouped by the
+    v // t - v // (t + 1) values of d that share them.  Larger k come first."""
+    u = min(x, max(isqrt(x), int(x ** (2 / 3))))
+    small = np.cumsum(oracle_mobius(u), dtype=np.int64)  # small[v] = M(v)
+    big = x // (u + 1)  # x // k > u exactly for k <= big
+    large = np.zeros(big + 1, dtype=np.int64)  # large[k] = M(x // k)
+    for k in range(big, 0, -1):
+        v = x // k
+        s = isqrt(v)
+        t = np.arange(1, s + 2, dtype=np.int64)
+        grouped = int(np.diff(-(v // t)) @ small[1:s + 1])
+        kd = k * np.arange(2, v // (s + 1) + 1, dtype=np.int64)
+        inner = kd <= big
+        large[k] = (1 - grouped - int(large[kd[inner]].sum())
+                    - int(small[x // kd[~inner]].sum()))
+    return int(large[1]) if big else int(small[x])
+
+
 def _primes_upto(x: int) -> int:
     return seqgen.base_primes(x).size
 
@@ -149,6 +187,9 @@ def test_exact_counts_work_in_slices(traced_peak):
     seqgen.mobius_prefix(isqrt(10 ** 13))
     assert traced_peak(lambda: seqgen.squarefree_count(10 ** 13)) < 4 << 20
     assert traced_peak(lambda: dirichlet._progression_counts(7, 10 ** 12)) < 8 << 20
+    # M(1e10) works on its quotient table of 2e5 int64 values, in slices
+    seqgen.base_primes(10 ** 5)
+    assert traced_peak(lambda: mertens.mertens_function(10 ** 10)) < 8 << 20
 
 
 def test_mertens_restricted_against_linear_loop():
@@ -164,6 +205,17 @@ def test_mertens_restricted_against_linear_loop():
 def test_published_pi_and_mertens():
     assert [seqgen.prime_count(10 ** k) for k in range(1, 11)] == list(PUBLISHED_PI)
     assert [mertens.mertens_function(10 ** k) for k in range(1, 11)] == list(PUBLISHED_M)
+
+
+def test_mertens_against_recursive_oracle():
+    # seeded x log-uniform in [5e6, 2e9], and r^2 - 1, r^2 and r^2 + 1, where
+    # the root of the table, and so its split into small and large, moves
+    rng = np.random.default_rng(76)
+    xs = [int(5 * 10 ** 6 * 400 ** u) for u in rng.random(10)]
+    xs += [r * r + e for r in (2237, 2 ** 15, 44721) for e in (-1, 0, 1)]
+    for x in xs:
+        assert mertens.mertens_function(x) == recursive_mertens(x), x
+    assert mertens.mertens_function(10 ** 11) == -87856  # the old x^(2/3) recursion's value
 
 
 def test_pi_sqf_exact_1e7_agrees_with_scan():
@@ -211,10 +263,11 @@ def test_exact_counts_over_budget_raise_before_sieving(monkeypatch, traced_peak)
     monkeypatch.setattr(seqgen, "base_primes", no_sieve)
     with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
         seqgen.mobius_prefix(seqgen.MAX_WINDOW + 1)
-    with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
-        mertens.mertens_function(2 ** 40)  # x^(2/3) is about 2^26.7
-    # without the check pi(2^60) would first allocate three int64 arrays of 2^30
+    # M shares pi's table and bound: the first x refused has sqrt(x) = MAX_WINDOW + 1
     start = time.perf_counter()
+    with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
+        mertens.mertens_function((seqgen.MAX_WINDOW + 1) ** 2)
+    # without the check pi(2^60) would first allocate three int64 arrays of 2^30
     with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
         seqgen.prime_count(2 ** 60)
     assert time.perf_counter() - start < 1.0
