@@ -5,7 +5,8 @@ counts (a sum over mu(d), d <= sqrt(x)) and `mertens_restricted` (the
 Mertens function at sqf_n) are each checked exhaustively on small inputs,
 at seeded random inputs, at the first sieve segment edge, against
 published values, and by property tests, with sieve-based oracles kept
-here.
+here.  `mertens_function` is also checked up to 2e9 against the x^(2/3)
+recursion it replaced, which runs here on a mu sieve of its own.
 """
 
 import time
@@ -48,9 +49,9 @@ def linear_mertens_restricted(n: int) -> int:
 
 def oracle_mobius(n: int) -> np.ndarray:
     """mu(0..n), mu(0) = 0, from a sieve of its own: each prime p <= sqrt(n)
-    flips the sign of its multiples and multiplies into their product, and
+    flips the sign of its multiples, multiplies their product by p and
     zeroes the multiples of p^2; a square-free m whose product falls short
-    of m has one prime factor above sqrt(n) more."""
+    of m has one more prime factor, above sqrt(n)."""
     mu = np.ones(n + 1, dtype=np.int8)
     prod = np.ones(n + 1, dtype=np.int64)
     for p in range(2, isqrt(n) + 1):
