@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqgen import (MAX_WINDOW, SegmentBudgetError, base_primes, is_prime, iter_mobius,
-                     mobius_prefix)
+from .seqgen import (MAX_WINDOW, SegmentBudgetError, _mobius_terms, base_primes, is_prime,
+                     iter_mobius)
 
 _AXIOM_TOL = 1e-12
-_CLASS_BLOCK = 1 << 16  # d per slice, and class entries scattered at once
+_CLASS_BLOCK = 1 << 16  # class entries scattered at once; seqgen slices the d
 
 
 class UnsupportedModulusError(ValueError):
@@ -152,13 +152,11 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     if not is_prime(q):
         raise UnsupportedModulusError(f"modulus {q} is not prime")
-    mu_all = mobius_prefix(math.isqrt(x_max))
+    terms = _mobius_terms(math.isqrt(x_max))  # refuses sqrt(x_max) past the budget
     counts = np.zeros(q, dtype=np.int64)
     counts[1] -= 1  # the unit
     tails = np.zeros(q)  # float sums of +-1 are exact
-    for start in range(1, mu_all.size, _CLASS_BLOCK):  # temporaries of one slice of d
-        d = np.arange(start, min(start + _CLASS_BLOCK, mu_all.size), dtype=np.int64)
-        mu = mu_all[start:start + d.size]
+    for d, mu in terms:  # temporaries of one slice of d
         quotients = x_max // (d * d)
         unit = (d % q != 0) & (mu != 0)
         mu_u = mu[unit]

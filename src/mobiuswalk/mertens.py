@@ -102,7 +102,7 @@ def mertens_function(x: int) -> int:
         raise ValueError(f"x must be >= 1, got {x}")
     vals, h = _prime_table([x])
     h *= -1
-    _sieve_pass(vals, h, base_primes(math.isqrt(x))[::-1].tolist(), 0)
+    _sieve_pass(vals, h, base_primes(math.isqrt(x))[::-1], 0)
     return 1 + int(h[-1])
 
 

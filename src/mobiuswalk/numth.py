@@ -19,7 +19,7 @@ from math import log
 import numpy as np
 
 from .dirichlet import _progression_counts
-from .seqgen import (PI2_OVER_6, iter_mobius, mobius_prefix, nth_squarefree, prime_counts,
+from .seqgen import (PI2_OVER_6, iter_mobius, mobius_range, nth_squarefree, prime_counts,
                      prime_counts_budget, sqf_bounds)
 from .statcore import chi2_pvalue
 
@@ -138,7 +138,7 @@ def constants_compute() -> Constants:
     a_const = float(np.euler_gamma)
     for k in count(2):
         term = log(float(zeta(k))) / k
-        a_const += mobius_prefix(k)[k] * term
+        a_const += mobius_range(k, k + 1)[0] * term
         if term < _SERIES_TOL:
             break
 

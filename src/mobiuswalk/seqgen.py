@@ -54,10 +54,9 @@ class SegmentBudgetError(RuntimeError):
     """Raised when a single requested window exceeds the memory budget."""
 
 
-# Both caches are replaced whole, never changed in place: a reader (or a
-# thread) that took one sees a limit and its primes, or a table, from one build.
+# The cache is replaced whole, never changed in place: a reader (or a
+# thread) that took it sees a limit and its primes from one build.
 _prime_cache: dict = {}  # {"limit": n, "primes": the primes <= n, read-only}
-_mobius_table = np.frombuffer(bytes(1), dtype=np.int8)  # mu(0..n), read-only
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -123,28 +122,31 @@ def _prime_table(xs) -> tuple[np.ndarray, np.ndarray]:
     vals = vals[:r + 1 + size]
     s = vals - 1  # s[i] = S(vals[i])
     s[0] = 0  # never a source; pi(0) reads it
-    _sieve_pass(vals, s, base_primes(r).tolist(), 1)
+    _sieve_pass(vals, s, base_primes(r), 1)
     return vals, s
 
 
-def _sieve_pass(vals: np.ndarray, s: np.ndarray, primes, shift: int) -> None:
-    """For each p of primes in turn, s(v) -= s(v // p) - s(p - shift) at
-    every v >= p^2 of a `_prime_table` table, in place."""
+def _sieve_pass(vals: np.ndarray, s: np.ndarray, primes: np.ndarray, shift: int) -> None:
+    """For each p of the int64 primes in turn, s(v) -= s(v // p) - s(p - shift)
+    at every v >= p^2 of a `_prime_table` table, in place."""
     r = isqrt(int(vals[-1]))
-    for p in primes:
-        below = int(s[p - shift])
+    for k in range(0, primes.size, _TERM_SLICE):
+        block = primes[k:k + _TERM_SLICE]
         # the v >= p^2 start at index lo, the v with v // p > r at mid
-        lo, mid = np.searchsorted(vals, (p * p, p * (r + 1))).tolist()
-        # every right side reads s before the update by p: a source lies
-        # below its target, so the slices run down from the top, and each
-        # right side is evaluated before it is written
-        for b in range(vals.size, lo, -_TERM_SLICE):
-            a = max(b - _TERM_SLICE, lo)
-            src = vals[a:b] // p  # the index of v // p <= r
-            if b > mid:  # a larger v // p is found by value
-                c = max(mid - a, 0)
-                src[c:] = np.searchsorted(vals, src[c:])
-            s[a:b] -= s[src] - below
+        bounds = zip(block.tolist(), np.searchsorted(vals, block * block).tolist(),
+                     np.searchsorted(vals, block * (r + 1)).tolist())
+        for p, lo, mid in bounds:
+            below = int(s[p - shift])
+            # every right side reads s before the update by p: a source lies
+            # below its target, so the slices run down from the top, and each
+            # right side is evaluated before it is written
+            for b in range(vals.size, lo, -_TERM_SLICE):
+                a = max(b - _TERM_SLICE, lo)
+                src = vals[a:b] // p  # the index of v // p <= r
+                if b > mid:  # a larger v // p is found by value
+                    c = max(mid - a, 0)
+                    src[c:] = np.searchsorted(vals, src[c:])
+                s[a:b] -= s[src] - below
 
 
 def prime_counts_budget(xs, top: int) -> tuple[int, int]:
@@ -287,23 +289,15 @@ def mobius_range(lo: int, hi: int) -> np.ndarray:
     return mu
 
 
-def mobius_prefix(n: int) -> np.ndarray:
-    """mu(0..n) as one read-only int8 array, mu(0) = 0, kept per process and
-    grown like `base_primes`: only the integers past its end are sieved."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+def _mobius_terms(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(d, mu(d)) for the d in [1, n], int64 and int8, in order and in slices
+    of at most _TERM_SLICE, streamed from `iter_mobius`.  n is checked here,
+    before any sieve: the slices are made only as they are read."""
     if n > MAX_WINDOW:
-        raise SegmentBudgetError(f"mu prefix to {n} exceeds budget {MAX_WINDOW}")
-    global _mobius_table
-    table = _mobius_table
-    if table.size <= n:  # one new table, filled a segment at a time
-        grown = np.empty(n + 1, dtype=np.int8)
-        grown[:table.size] = table
-        for lo, hi, mu in iter_mobius(table.size, n + 1):
-            grown[lo:hi] = mu
-        grown.flags.writeable = False
-        table = _mobius_table = grown
-    return table[:n + 1]
+        raise SegmentBudgetError(f"mu to {n} exceeds budget {MAX_WINDOW}")
+    return ((np.arange(lo + a, min(lo + a + _TERM_SLICE, hi), dtype=np.int64),
+             mu[a:a + _TERM_SLICE])
+            for lo, hi, mu in iter_mobius(1, n + 1) for a in range(0, hi - lo, _TERM_SLICE))
 
 
 def squarefree_count(x: int) -> int:
@@ -311,12 +305,7 @@ def squarefree_count(x: int) -> int:
     m <= x: mu(d) summed over the d with d^2 | m is 1 exactly when m is."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    mu = mobius_prefix(isqrt(x))
-    total = 0
-    for lo in range(1, mu.size, _TERM_SLICE):  # int64 temporaries of one slice
-        d = np.arange(lo, min(lo + _TERM_SLICE, mu.size), dtype=np.int64)
-        total += int(mu[lo:lo + d.size] @ (x // (d * d)))
-    return total
+    return sum(int(mu @ (x // (d * d))) for d, mu in _mobius_terms(isqrt(x)))
 
 
 def nth_squarefree(n: int) -> int:

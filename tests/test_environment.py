@@ -25,7 +25,7 @@ USED = {
     "numpy.concatenate", "numpy.count_nonzero", "numpy.cumprod", "numpy.cumsum",
     "numpy.diff", "numpy.divmod", "numpy.dot", "numpy.empty", "numpy.euler_gamma",
     "numpy.exp", "numpy.fft.rfft", "numpy.flatnonzero", "numpy.float64",
-    "numpy.floor_divide", "numpy.frombuffer", "numpy.fromfile", "numpy.full",
+    "numpy.floor_divide", "numpy.fromfile", "numpy.full",
     "numpy.histogram", "numpy.inf", "numpy.int16", "numpy.int32", "numpy.int64",
     "numpy.int8", "numpy.lib.stride_tricks.sliding_window_view",
     "numpy.log", "numpy.log2", "numpy.maximum", "numpy.maximum.accumulate",

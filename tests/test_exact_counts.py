@@ -141,7 +141,7 @@ def test_progression_counts_random_and_edge():
 
 def unsliced_squarefree_count(x: int) -> int:
     """Q(x) from one sum over every d <= sqrt(x) at once."""
-    mu = seqgen.mobius_prefix(isqrt(x))[1:]
+    mu = oracle_mobius(isqrt(x))[1:]
     d = np.arange(1, mu.size + 1, dtype=np.int64)
     return int(mu @ (x // (d * d)))
 
@@ -149,7 +149,7 @@ def unsliced_squarefree_count(x: int) -> int:
 def unsliced_progression_counts(q: int, x_max: int) -> np.ndarray:
     """The class counts from one pass over every d <= sqrt(x_max) at once,
     the tails j d^2, j <= b, summed per pair (d^2 mod q, b) first."""
-    mu = seqgen.mobius_prefix(isqrt(x_max))[1:]
+    mu = oracle_mobius(isqrt(x_max))[1:]
     d = np.arange(1, mu.size + 1, dtype=np.int64)
     quotients = x_max // (d * d)
     unit = (d % q != 0) & (mu != 0)
@@ -167,8 +167,8 @@ def unsliced_progression_counts(q: int, x_max: int) -> np.ndarray:
 def test_counts_at_slice_edges():
     # sqrt(x) one below, at and one past a multiple of the slice, for the
     # largest and the smallest x with that root
-    for slice_len, check in ((seqgen._TERM_SLICE, "Q"), (dirichlet._CLASS_BLOCK, "classes")):
-        for r in (k * slice_len + e for k in (1, 2) for e in (-1, 0, 1)):
+    for check in ("Q", "classes"):
+        for r in (k * seqgen._TERM_SLICE + e for k in (1, 2) for e in (-1, 0, 1)):
             for x in (r * r, r * r + 2 * r):
                 if check == "Q":
                     assert seqgen.squarefree_count(x) == unsliced_squarefree_count(x), x
@@ -178,15 +178,19 @@ def test_counts_at_slice_edges():
                                           unsliced_progression_counts(q, x)), (q, x)
 
 
-def test_squarefree_count_1e15():
-    assert seqgen.squarefree_count(10 ** 15) == 607927101854103  # OEIS A071172
+def test_squarefree_count_1e15(traced_peak):
+    # mu streams from the sieve: no table of the 3.2e7 mu(d), d <= sqrt(x),
+    # is kept, and the peak is a sieve segment and the slices of d
+    seqgen.base_primes(isqrt(isqrt(10 ** 15)))
+    counted = []
+    assert traced_peak(lambda: counted.append(seqgen.squarefree_count(10 ** 15))) < 8 << 20
+    assert counted == [607927101854103]  # OEIS A071172
 
 
 def test_exact_counts_work_in_slices(traced_peak):
-    # the mu prefix is grown first, so the peak is the sums' own temporaries:
+    # cold, so the peak is a sieve segment and the sums' own temporaries:
     # slices of d, not int64 arrays as long as sqrt(x), 3.2e6 and 1e6 here
-    seqgen.mobius_prefix(isqrt(10 ** 13))
-    assert traced_peak(lambda: seqgen.squarefree_count(10 ** 13)) < 4 << 20
+    assert traced_peak(lambda: seqgen.squarefree_count(10 ** 13)) < 6 << 20
     assert traced_peak(lambda: dirichlet._progression_counts(7, 10 ** 12)) < 8 << 20
     # M(1e10) works on its quotient table of 2e5 int64 values, in slices
     seqgen.base_primes(10 ** 5)
@@ -260,10 +264,19 @@ def test_exact_counts_over_budget_raise_before_sieving(monkeypatch, traced_peak)
     def no_sieve(*args):
         raise AssertionError("sieved past the budget")
 
+    # Q(x) and the class counts sum mu(d) over d <= sqrt(x): the first x
+    # refused has sqrt(x) = MAX_WINDOW + 1.  is_prime(q) reads the base
+    # primes, and a lazy check would first allocate two arrays of q classes
+    monkeypatch.setattr(seqgen, "iter_mobius", no_sieve)
     monkeypatch.setattr(seqgen, "mobius_range", no_sieve)
+
+    def over_budget_classes():
+        with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
+            dirichlet._progression_counts(1000003, (seqgen.MAX_WINDOW + 1) ** 2)
+    assert traced_peak(over_budget_classes) < 1 << 20
     monkeypatch.setattr(seqgen, "base_primes", no_sieve)
     with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
-        seqgen.mobius_prefix(seqgen.MAX_WINDOW + 1)
+        seqgen.squarefree_count((seqgen.MAX_WINDOW + 1) ** 2)
     # M shares pi's table and bound: the first x refused has sqrt(x) = MAX_WINDOW + 1
     start = time.perf_counter()
     with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):

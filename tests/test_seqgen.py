@@ -104,57 +104,21 @@ def test_progression_class_zero_against_strided_count():
 
 
 def spy_on_sieve(monkeypatch) -> list:
-    """Empty the process's mu table and record each iter_mobius window."""
+    """Record each iter_mobius window."""
     calls, sieve = [], seqgen.iter_mobius
-    monkeypatch.setattr(seqgen, "_mobius_table", np.frombuffer(bytes(1), dtype=np.int8))
     monkeypatch.setattr(seqgen, "iter_mobius",
                         lambda lo, hi, *rest: calls.append((lo, hi)) or sieve(lo, hi, *rest))
     return calls
 
 
 def test_progression_class_zero_sieves_once(monkeypatch):
-    # the counts mod every p read a prefix of the one mu table
+    # each count mod p streams mu(d) for d <= sqrt(x): one window per call
     sqf = seqgen.mobius_range(1, 10 ** 6 + 1) != 0
     calls = spy_on_sieve(monkeypatch)
     for p in (2, 3, 997):
         assert multiples(p, 10 ** 6) == int(sqf[p - 1::p].sum())
-    assert calls == [(1, isqrt(10 ** 6) + 1)]
-    assert multiples(7, 6) == 0 and len(calls) == 1
-
-
-@pytest.fixture(scope="module")
-def prefix_oracle():
-    seg = seqgen.DEFAULT_SEGMENT
-    sizes = (1, 12, seg - 1, seg, seg + 1)
-    return {n: np.concatenate([[0], seqgen.mobius_range(1, n + 1)]) for n in sizes}
-
-
-@pytest.mark.parametrize("order", ["rising", "falling", "mixed"])
-def test_mobius_prefix(monkeypatch, prefix_oracle, order):
-    seg = seqgen.DEFAULT_SEGMENT
-    sizes = {"rising": (1, 12, seg - 1, seg, seg + 1),
-             "falling": (seg + 1, seg, seg - 1, 12, 1),
-             "mixed": (12, seg, 1, seg + 1, 12, seg - 1)}[order]
-    calls = spy_on_sieve(monkeypatch)
-    assert seqgen.mobius_prefix(0).tolist() == [0]
-    for n in sizes:
-        got = seqgen.mobius_prefix(n)
-        assert got.dtype == np.int8 and np.array_equal(got, prefix_oracle[n]), n
-        with pytest.raises(ValueError, match="read-only"):
-            got[-1] = 2
-    # the windows sieved run on from 1 without overlap: each integer once
-    assert [lo for lo, _ in calls] == [1] + [hi for _, hi in calls[:-1]]
-    assert calls[-1][1] == max(sizes) + 1
-    with pytest.raises(ValueError):
-        seqgen.mobius_prefix(-1)
-
-
-def test_mobius_prefix_grows_in_place(monkeypatch, traced_peak):
-    # the grown table is allocated once and filled a segment at a time: no
-    # chunk list and no joined copy beside it
-    monkeypatch.setattr(seqgen, "_mobius_table", np.frombuffer(bytes(1), dtype=np.int8))
-    n = 1 << 23
-    assert traced_peak(lambda: seqgen.mobius_prefix(n)) < n + (8 << 20)  # and a 2^20 segment
+    assert calls == [(1, isqrt(10 ** 6) + 1)] * 3
+    assert multiples(7, 6) == 0 and calls[3:] == [(1, isqrt(6) + 1)]
 
 
 def test_mobius_range_fills_one_array(traced_peak):
