@@ -38,6 +38,7 @@ _SCATTER_HITS = 1 << 17  # hits per scattered block at most, unless one step has
 _COMPRESS_SLICE = 1 << 16  # entries per slice of mu's assembly and np.compress
 _SQUARE = 1 << 15  # the accumulator's mark of a square factor
 _TERM_SLICE = 1 << 16  # terms per int64 temporary of an exact count
+_PRIME_BLOCK = 1 << 12  # primes whose bounds `_sieve_pass` holds as Python ints at once
 
 MAGIC = b"MSF1"
 FORMAT_VERSION = 1
@@ -130,8 +131,8 @@ def _sieve_pass(vals: np.ndarray, s: np.ndarray, primes: np.ndarray, shift: int)
     """For each p of the int64 primes in turn, s(v) -= s(v // p) - s(p - shift)
     at every v >= p^2 of a `_prime_table` table, in place."""
     r = isqrt(int(vals[-1]))
-    for k in range(0, primes.size, _TERM_SLICE):
-        block = primes[k:k + _TERM_SLICE]
+    for k in range(0, primes.size, _PRIME_BLOCK):
+        block = primes[k:k + _PRIME_BLOCK]
         # the v >= p^2 start at index lo, the v with v // p > r at mid
         bounds = zip(block.tolist(), np.searchsorted(vals, block * block).tolist(),
                      np.searchsorted(vals, block * (r + 1)).tolist())

@@ -167,15 +167,12 @@ def unsliced_progression_counts(q: int, x_max: int) -> np.ndarray:
 def test_counts_at_slice_edges():
     # sqrt(x) one below, at and one past a multiple of the slice, for the
     # largest and the smallest x with that root
-    for check in ("Q", "classes"):
-        for r in (k * seqgen._TERM_SLICE + e for k in (1, 2) for e in (-1, 0, 1)):
-            for x in (r * r, r * r + 2 * r):
-                if check == "Q":
-                    assert seqgen.squarefree_count(x) == unsliced_squarefree_count(x), x
-                    continue
-                for q in (2, 7, 101):
-                    assert np.array_equal(dirichlet._progression_counts(q, x),
-                                          unsliced_progression_counts(q, x)), (q, x)
+    for r in (k * seqgen._TERM_SLICE + e for k in (1, 2) for e in (-1, 0, 1)):
+        for x in (r * r, r * r + 2 * r):
+            assert seqgen.squarefree_count(x) == unsliced_squarefree_count(x), x
+            for q in (2, 7, 101):
+                assert np.array_equal(dirichlet._progression_counts(q, x),
+                                      unsliced_progression_counts(q, x)), (q, x)
 
 
 def test_squarefree_count_1e15(traced_peak):
