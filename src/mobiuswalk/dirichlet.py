@@ -152,7 +152,7 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     if not is_prime(q):
         raise UnsupportedModulusError(f"modulus {q} is not prime")
-    terms = _mobius_terms(math.isqrt(x_max))  # refuses sqrt(x_max) past the budget
+    terms = _mobius_terms(math.isqrt(x_max))  # refuses before the q-long arrays exist
     counts = np.zeros(q, dtype=np.int64)
     counts[1] -= 1  # the unit
     tails = np.zeros(q)  # float sums of +-1 are exact
