@@ -150,9 +150,10 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
+    # the budget first: is_prime sieves up to sqrt(q), and the q-long arrays follow
+    terms = _mobius_terms(math.isqrt(x_max))
     if not is_prime(q):
         raise UnsupportedModulusError(f"modulus {q} is not prime")
-    terms = _mobius_terms(math.isqrt(x_max))  # refuses before the q-long arrays exist
     counts = np.zeros(q, dtype=np.int64)
     counts[1] -= 1  # the unit
     tails = np.zeros(q)  # float sums of +-1 are exact

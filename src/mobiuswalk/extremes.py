@@ -27,6 +27,8 @@ _CHUNK_STEPS = 1 << 20  # walk steps built at once, whatever the segment length
 _FIT_BINS = 50
 _FIT_MIN_SAMPLES = 1000
 
+_ZETA3, _ZETA5 = 1.2020569031595942, 1.03692775514337  # scipy's zeta(3), zeta(5)
+
 # The Mori integrals are fixed numbers, so they are tabulated as the reprs
 # of scipy's quad results (the tests recompute them).  <|tau/T|^n> for
 # n = 1..10 is twice the quad of x^n mori_f(x) over (0, 1), with epsabs =
@@ -145,13 +147,11 @@ def tau_moment_table() -> list[tuple[int, float]]:
 
 def tau_closed_moments() -> dict[int, float]:
     """The first four absolute moments in closed form (zeta values)."""
-    from scipy.special import zeta
-    z3, z5 = float(zeta(3)), float(zeta(5))
     return {
         1: (4 * math.log(2) - 1) / 3,
-        2: (7 * z3 - 2) / 16,
-        3: (147 * z3 - 34) / 480,
-        4: (1701 * z3 - 930 * z5 - 182) / 3840,
+        2: (7 * _ZETA3 - 2) / 16,
+        3: (147 * _ZETA3 - 34) / 480,
+        4: (1701 * _ZETA3 - 930 * _ZETA5 - 182) / 3840,
     }
 
 

@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import count
 from math import log
 
 import numpy as np
 
 from .dirichlet import _progression_counts
-from .seqgen import (PI2_OVER_6, iter_mobius, mobius_range, nth_squarefree, prime_counts,
-                     prime_counts_budget, sqf_bounds)
+from .seqgen import (PI2_OVER_6, iter_mobius, nth_squarefree, prime_counts, prime_counts_budget,
+                     sqf_bounds)
 from .statcore import chi2_pvalue
 
-_SERIES_TOL = 1e-12
 _MAX_OMEGA = 24  # omega = 24 first occurs at the 24th primorial, about 2.4e34
 
 
@@ -124,38 +121,19 @@ class Constants:
     variance_correction: float
 
 
-@lru_cache(maxsize=1)
 def constants_compute() -> Constants:
-    """Recompute the constants of the log log law for the mean of omega.
+    """The constants of the log log law for the mean of omega.
 
     A is the Kronecker (Mertens) constant; B and the variance correction
     come from the alternating series over prime powers with the prime sums
-    smoothed by the density 1/log t, integrated from 2.
+    smoothed by the density 1/log t, integrated from 2.  They are fixed
+    numbers, tabulated as the reprs of their series and quadratures (the
+    tests recompute them).
     """
-    from scipy.integrate import quad
-    from scipy.special import zeta
-
-    a_const = float(np.euler_gamma)
-    for k in count(2):
-        term = log(float(zeta(k))) / k
-        a_const += mobius_range(k, k + 1)[0] * term
-        if term < _SERIES_TOL:
-            break
-
-    # I_j = int_2^inf t^-j / log t dt is a term of both B and the correction
-    b_const = var_corr = 0.0
-    j, b_open, corr_open = 2, True, True
-    while b_open or corr_open:
-        i_j = quad(lambda t, jj=j: t ** (-jj) / log(t), 2.0, np.inf, epsabs=1e-14)[0]
-        if b_open:
-            b_const += (-1) ** j * i_j
-            b_open = i_j >= _SERIES_TOL
-        if corr_open:
-            var_corr += (-1) ** (j - 2) * (j - 1) * i_j
-            corr_open = (j - 1) * i_j >= _SERIES_TOL
-        j += 1
-
-    return Constants(a_const, b_const, a_const - b_const, var_corr)
+    # A and the offset stay np.float64, the type the series left them, as
+    # the repr of these constants is pinned
+    return Constants(np.float64(0.261497212847716), 0.29147854137512613,
+                     np.float64(-0.029981328527410145), 0.22697776344424964)
 
 
 def omega_mean_theoretical(n: int) -> float:

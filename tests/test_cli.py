@@ -49,13 +49,14 @@ def test_gen_and_battery_load_no_scipy(tmp_path, full_block_file):
                                      "--workers", "1", "--out", str(tmp_path / "r.jsonl")])
     assert code in (0, 1) and modules == []
     # the argmin law is a running product, the divisor shares are residue
-    # counts and the tau moments are tabulated
+    # counts, and the tau moments and the log log constants are tabulated
     for argv in (["extremes", "--seq", str(full_block_file), "--segments", "1000",
                   "--seg-len", "1000", "--out", str(tmp_path / "x")],
                  ["tables", "--which", "divisor", "--n", "1e6", "--out", str(tmp_path / "d.csv")],
                  ["tables", "--which", "residue", "--q", "7", "--x", "1e6",
                   "--out", str(tmp_path / "res.csv")],
-                 ["tables", "--which", "tau", "--out", str(tmp_path / "tau.csv")]):
+                 ["tables", "--which", "tau", "--out", str(tmp_path / "tau.csv")],
+                 ["tables", "--which", "omega", "--n", "1e4", "--out", str(tmp_path / "o.csv")]):
         assert scipy_loaded_by(argv) == (0, []), argv
 
 

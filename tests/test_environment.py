@@ -23,18 +23,17 @@ USED = {
     "numpy.array_equal", "numpy.asarray", "numpy.bincount", "numpy.bitwise_and",
     "numpy.bool_", "numpy.clip", "numpy.complex128", "numpy.compress",
     "numpy.concatenate", "numpy.count_nonzero", "numpy.cumprod", "numpy.cumsum",
-    "numpy.diff", "numpy.divmod", "numpy.dot", "numpy.empty", "numpy.euler_gamma",
+    "numpy.diff", "numpy.divmod", "numpy.dot", "numpy.empty",
     "numpy.exp", "numpy.fft.rfft", "numpy.flatnonzero", "numpy.float64",
     "numpy.floor_divide", "numpy.fromfile", "numpy.full",
-    "numpy.histogram", "numpy.inf", "numpy.int16", "numpy.int32", "numpy.int64",
+    "numpy.histogram", "numpy.int16", "numpy.int32", "numpy.int64",
     "numpy.int8", "numpy.lib.stride_tricks.sliding_window_view",
     "numpy.log", "numpy.log2", "numpy.maximum", "numpy.maximum.accumulate",
     "numpy.mean", "numpy.min_scalar_type", "numpy.minimum", "numpy.multiply",
     "numpy.ndarray", "numpy.nonzero", "numpy.not_equal", "numpy.ones", "numpy.packbits",
     "numpy.pi", "numpy.random.default_rng", "numpy.repeat", "numpy.searchsorted",
     "numpy.sqrt", "numpy.sum", "numpy.uint16", "numpy.uint8", "numpy.unpackbits",
-    "numpy.where", "numpy.zeros", "scipy.integrate.quad", "scipy.special.expi",
-    "scipy.special.zeta",
+    "numpy.where", "numpy.zeros", "scipy.special.expi",
 }
 
 

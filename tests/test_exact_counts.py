@@ -262,8 +262,9 @@ def test_exact_counts_over_budget_raise_before_sieving(monkeypatch, traced_peak)
         raise AssertionError("sieved past the budget")
 
     # Q(x) and the class counts sum mu(d) over d <= sqrt(x): the first x
-    # refused has sqrt(x) = MAX_WINDOW + 1.  is_prime(q) reads the base
-    # primes, and a lazy check would first allocate two arrays of q classes
+    # refused has sqrt(x) = MAX_WINDOW + 1.  A lazy check would first
+    # allocate two arrays of q classes, and a check after is_prime(q) would
+    # first sieve the base primes to sqrt(q)
     monkeypatch.setattr(seqgen, "iter_mobius", no_sieve)
     monkeypatch.setattr(seqgen, "mobius_range", no_sieve)
 
@@ -274,6 +275,9 @@ def test_exact_counts_over_budget_raise_before_sieving(monkeypatch, traced_peak)
     monkeypatch.setattr(seqgen, "base_primes", no_sieve)
     with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
         seqgen.squarefree_count((seqgen.MAX_WINDOW + 1) ** 2)
+    # the least prime above (MAX_WINDOW + 1)^2, as both q and x
+    with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
+        dirichlet.progression_table(4503599761588243, 4503599761588243)
     # M shares pi's table and bound: the first x refused has sqrt(x) = MAX_WINDOW + 1
     start = time.perf_counter()
     with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import zeta
 
 from mobiuswalk import cli, extremes, seqgen
 
@@ -146,6 +147,11 @@ def test_mori_moments_closed_forms():
     table = dict(extremes.tau_moment_table()[:4])
     for order, want in closed.items():
         assert abs(table[order] - want) < 1e-8
+
+
+def test_zeta_literals_match_scipy():
+    assert extremes._ZETA3 == float(zeta(3))
+    assert extremes._ZETA5 == float(zeta(5))
 
 
 def test_mori_moment_table():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import zeta
 
 from mobiuswalk import dirichlet, mertens, numth, seqgen
 
@@ -92,6 +94,38 @@ def test_tally_matches_compaction(lo, width, seed):
         tally.add(mu, om)
         want += np.bincount(om[mu != 0], minlength=numth._MAX_OMEGA)
     assert np.array_equal(tally.class_counts, want)
+
+
+def series_constants() -> numth.Constants:
+    """The log log constants from the series and quadratures they are
+    tabulated from.  mu(k) is an int8, so A and the offset are np.float64."""
+    tol = 1e-12
+    a_const = float(np.euler_gamma)
+    for k in itertools.count(2):
+        term = math.log(float(zeta(k))) / k
+        a_const += seqgen.mobius_range(k, k + 1)[0] * term
+        if term < tol:
+            break
+
+    # I_j = int_2^inf t^-j / log t dt is a term of both B and the correction
+    b_const = var_corr = 0.0
+    j, b_open, corr_open = 2, True, True
+    while b_open or corr_open:
+        i_j = quad(lambda t, jj=j: t ** (-jj) / math.log(t), 2.0, np.inf, epsabs=1e-14)[0]
+        if b_open:
+            b_const += (-1) ** j * i_j
+            b_open = i_j >= tol
+        if corr_open:
+            var_corr += (-1) ** (j - 2) * (j - 1) * i_j
+            corr_open = (j - 1) * i_j >= tol
+        j += 1
+
+    return numth.Constants(a_const, b_const, a_const - b_const, var_corr)
+
+
+def test_constants_match_series():
+    # the literals carry the values and the types of the series
+    assert repr(series_constants()) == repr(numth.constants_compute())
 
 
 def test_constants():
