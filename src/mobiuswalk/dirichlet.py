@@ -17,7 +17,10 @@ from .seqgen import (MAX_WINDOW, SegmentBudgetError, _mobius_terms, base_primes,
                      iter_mobius)
 
 _AXIOM_TOL = 1e-12
-_CLASS_BLOCK = 1 << 16  # class entries scattered at once; seqgen slices the d
+# tail entries added into the class counts at once.  The counts take 8 bytes
+# per class, q <= MAX_WINDOW, and one block about 2.5 MiB of int64
+# temporaries; seqgen slices the d
+_CLASS_BLOCK = 1 << 16
 
 
 class UnsupportedModulusError(ValueError):
@@ -146,35 +149,39 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
     k d^2 = r (mod q)}.  For q | d every k d^2 falls in class 0.  Otherwise,
     writing x_max // d^2 = a q + b, the first a q values of k cover every
     class a times, and the last b add mu(d) to the classes j d^2, j = 1..b:
-    about 2 sqrt(x_max q) scattered entries in all.
+    about 2 sqrt(x_max q) scattered entries in all.  Every count goes into
+    one int64 array of q classes, so the memory is 8 bytes per class plus
+    one _CLASS_BLOCK of entries.  q above MAX_WINDOW and sqrt(x_max) above
+    MAX_WINDOW raise SegmentBudgetError.
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
-    # the budget first: is_prime sieves up to sqrt(q), and the q-long arrays follow
+    # the budgets first: is_prime sieves up to sqrt(q), and the counts are q
+    # long.  q <= MAX_WINDOW = 2^26 also keeps j * squares[t] < q^2 <= 2^52
+    # inside int64
+    if q > MAX_WINDOW:
+        raise SegmentBudgetError(f"modulus {q} exceeds budget {MAX_WINDOW}")
     terms = _mobius_terms(math.isqrt(x_max))
     if not is_prime(q):
         raise UnsupportedModulusError(f"modulus {q} is not prime")
     counts = np.zeros(q, dtype=np.int64)
     counts[1] -= 1  # the unit
-    tails = np.zeros(q)  # float sums of +-1 are exact
     for d, mu in terms:  # temporaries of one slice of d
         quotients = x_max // (d * d)
         unit = (d % q != 0) & (mu != 0)
-        mu_u = mu[unit]
+        mu_u = mu[unit].astype(np.int64)  # np.add.at is slow with int8 weights
         a, b = np.divmod(quotients[unit], q)
         squares = d[unit] % q * (d[unit] % q) % q
         counts += mu_u @ a
         counts[0] += mu[~unit] @ quotients[~unit]
-        ends = np.cumsum(b)
-        lo = 0
-        while lo < b.size:  # terms whose b add up to about _CLASS_BLOCK
-            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - b[lo] + _CLASS_BLOCK, "right")))
-            n = b[lo:hi]
-            j = np.arange(1, n.sum() + 1) - np.repeat(np.cumsum(n) - n, n)
-            classes = j * np.repeat(squares[lo:hi], n) % q
-            tails += np.bincount(classes, weights=np.repeat(mu_u[lo:hi], n), minlength=q)
-            lo = hi
-    return counts + tails.astype(np.int64)
+        ends = np.cumsum(b)  # term t owns the tail entries ends[t] - b[t] .. ends[t] - 1
+        total = int(b.sum())
+        for lo in range(0, total, _CLASS_BLOCK):
+            entry = np.arange(lo, min(lo + _CLASS_BLOCK, total))
+            t = np.searchsorted(ends, entry, "right")
+            j = entry - (ends[t] - b[t]) + 1
+            np.add.at(counts, j * squares[t] % q, mu_u[t])
+    return counts
 
 
 def _density_estimate(q: int, r: int, x_max: int) -> float:

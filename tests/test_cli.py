@@ -206,6 +206,20 @@ def test_large_modulus_refused_before_primality(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "res.csv").exists()
 
 
+def test_modulus_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # the least prime above MAX_WINDOW: refused before its primality test,
+    # its 2^26 classes or any sieving
+    def no_sieve(*args):
+        raise AssertionError("sieved past the budget")
+
+    monkeypatch.setattr(seqgen, "iter_mobius", no_sieve)
+    monkeypatch.setattr(seqgen, "base_primes", no_sieve)
+    assert run(["tables", "--which", "residue", "--q", "67108879", "--x", "1e9",
+                "--out", str(tmp_path / "res.csv")]) == 2
+    assert "exceeds budget" in capsys.readouterr().err
+    assert not (tmp_path / "res.csv").exists()
+
+
 def test_usage_error():
     assert run(["bogus-subcommand"]) == 2
 

@@ -175,6 +175,26 @@ def test_counts_at_slice_edges():
                                       unsliced_progression_counts(q, x)), (q, x)
 
 
+def test_progression_counts_across_block_edges(monkeypatch):
+    # blocks of 1, 2 and 7 tail entries cut nearly every term; at LARGE_Q
+    # and x = 2e5 the d = 1 term alone has b = 99997 entries
+    small = linear_progression_counts(MODULI, 5000)
+    large = linear_progression_counts((LARGE_Q,), 2 * 10 ** 5)[LARGE_Q]
+    for block in (1, 2, 7):
+        monkeypatch.setattr(dirichlet, "_CLASS_BLOCK", block)
+        for q, want in small.items():
+            assert np.array_equal(dirichlet._progression_counts(q, 5000), want), (q, block)
+        assert np.array_equal(dirichlet._progression_counts(LARGE_Q, 2 * 10 ** 5), large), block
+
+
+def test_class_counts_hold_one_array(traced_peak):
+    # the int64 counts are the only array of q classes: 8 bytes per class
+    # and one block of tail entries, also when only class 0 is read
+    q = 1000003
+    assert traced_peak(lambda: numth.divisor_table((q,), 100)) < 9 << 20
+    assert traced_peak(lambda: dirichlet._progression_counts(q, 3 * q)) < 8 * q + (4 << 20)
+
+
 def test_squarefree_count_1e15(traced_peak):
     # mu streams from the sieve: no table of the 3.2e7 mu(d), d <= sqrt(x),
     # is kept, and the peak is a sieve segment and the slices of d
@@ -262,17 +282,20 @@ def test_exact_counts_over_budget_raise_before_sieving(monkeypatch, traced_peak)
         raise AssertionError("sieved past the budget")
 
     # Q(x) and the class counts sum mu(d) over d <= sqrt(x): the first x
-    # refused has sqrt(x) = MAX_WINDOW + 1.  A lazy check would first
-    # allocate two arrays of q classes, and a check after is_prime(q) would
-    # first sieve the base primes to sqrt(q)
+    # refused has sqrt(x) = MAX_WINDOW + 1, and the first prime q refused is
+    # the least prime above MAX_WINDOW.  A lazy check would first allocate
+    # the array of q classes, and a check after is_prime(q) would first
+    # sieve the base primes to sqrt(q)
     monkeypatch.setattr(seqgen, "iter_mobius", no_sieve)
     monkeypatch.setattr(seqgen, "mobius_range", no_sieve)
+    monkeypatch.setattr(seqgen, "base_primes", no_sieve)
 
     def over_budget_classes():
         with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
             dirichlet._progression_counts(1000003, (seqgen.MAX_WINDOW + 1) ** 2)
+        with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
+            dirichlet._progression_counts(67108879, 10 ** 8)
     assert traced_peak(over_budget_classes) < 1 << 20
-    monkeypatch.setattr(seqgen, "base_primes", no_sieve)
     with pytest.raises(seqgen.SegmentBudgetError, match="exceeds budget"):
         seqgen.squarefree_count((seqgen.MAX_WINDOW + 1) ** 2)
     # the least prime above (MAX_WINDOW + 1)^2, as both q and x
