@@ -17,9 +17,9 @@ from .seqgen import (MAX_WINDOW, SegmentBudgetError, _mobius_terms, base_primes,
                      iter_mobius)
 
 _AXIOM_TOL = 1e-12
-# tail entries added into the class counts at once.  The counts take 8 bytes
-# per class, q <= MAX_WINDOW, and one block about 2.5 MiB of int64
-# temporaries; seqgen slices the d
+# tail entries added into the class counts at once: about 2.5 MiB of int64
+# temporaries beside the counts' 8 bytes per class (q <= MAX_WINDOW);
+# seqgen slices the d
 _CLASS_BLOCK = 1 << 16
 
 
@@ -151,8 +151,8 @@ def _progression_counts(q: int, x_max: int) -> np.ndarray:
     class a times, and the last b add mu(d) to the classes j d^2, j = 1..b:
     about 2 sqrt(x_max q) scattered entries in all.  Every count goes into
     one int64 array of q classes, so the memory is 8 bytes per class plus
-    one _CLASS_BLOCK of entries.  q above MAX_WINDOW and sqrt(x_max) above
-    MAX_WINDOW raise SegmentBudgetError.
+    one _CLASS_BLOCK of entries.  q or sqrt(x_max) above MAX_WINDOW raises
+    SegmentBudgetError.
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
