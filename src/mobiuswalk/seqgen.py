@@ -457,6 +457,9 @@ def write_sequence(seq: BitSequence, path) -> None:
 
 
 def read_sequence(path) -> BitSequence:
+    """The file's sequence, its payload mapped read-only: a read holds only
+    the pages it touches.  The file must not be truncated or rewritten while
+    the sequence is in use, because touching a page it lost raises SIGBUS."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -466,11 +469,18 @@ def read_sequence(path) -> BitSequence:
             raise SequenceFormatError(f"{path}: bad magic {magic!r}")
         if version != FORMAT_VERSION:
             raise SequenceFormatError(f"{path}: unsupported version {version}")
-        payload = np.fromfile(fh, dtype=np.uint8)
-    expected = (length + 7) // 8
-    if payload.size != expected:
-        raise SequenceFormatError(
-            f"{path}: payload has {payload.size} bytes, expected {expected}")
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        expected = (length + 7) // 8
+        if size != expected:
+            raise SequenceFormatError(
+                f"{path}: payload has {size} bytes, expected {expected}")
+        if expected == 0:  # mmap cannot map 0 bytes
+            payload = np.empty(0, dtype=np.uint8)
+        else:
+            # a plain ndarray: a np.memmap would make every slice a memmap,
+            # which nearly doubles the cost of many short slices
+            payload = np.memmap(fh, np.uint8, "r", offset=_HEADER.size,
+                                shape=(expected,)).view(np.ndarray)
     return BitSequence(start_ordinal, length, payload)
 
 

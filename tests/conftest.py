@@ -2,6 +2,7 @@ import os
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mobiuswalk import mertens, seqgen
@@ -26,15 +27,43 @@ def cache_dir() -> Path:
     return path
 
 
+def ones_match_mertens(seq: seqgen.BitSequence) -> bool:
+    """Whether the ones over the ordinals [a, a + n) of seq number
+    (n + M-hat(a + n - 1) - M-hat(a - 1)) / 2, with M-hat(0) = 0: two exact
+    Mertens values, computed without the sieve that wrote seq."""
+    a, n = seq.start_ordinal, seq.length
+    chunk = 1 << 24  # payload bytes counted at once
+    ones = sum(int(np.bitwise_count(seq.bits[i:i + chunk]).sum(dtype=np.int64))
+               for i in range(0, seq.bits.size, chunk))
+    before = mertens.mertens_restricted(a - 1) if a > 1 else 0
+    return 2 * ones == n + mertens.mertens_restricted(a + n - 1) - before
+
+
+def _cached_corpus(path: Path):
+    """The cached corpus, or None if it is missing, malformed or fails
+    `ones_match_mertens`."""
+    try:
+        seq = seqgen.read_sequence(path)
+    except (FileNotFoundError, seqgen.SequenceFormatError):
+        return None
+    if (seq.start_ordinal, seq.length) == (1, MASTER_LENGTH) and ones_match_mertens(seq):
+        return seq
+    return None
+
+
 @pytest.fixture(scope="session")
 def master_sequence():
-    """The bit sequence for ordinals [1, MASTER_LENGTH], disk-cached."""
+    """The bit sequence for ordinals [1, MASTER_LENGTH], disk-cached and
+    made again (about 25 s) if the cached file fails its check."""
     path = cache_dir() / f"mu_seq_1_{MASTER_LENGTH}.msf"
-    if not path.exists():
+    seq = _cached_corpus(path)
+    if seq is None:
         tmp = path.with_suffix(".tmp")
         seqgen.generate_sequence_file(tmp, 1, MASTER_LENGTH)
         tmp.rename(path)
-    return seqgen.read_sequence(path)
+        seq = seqgen.read_sequence(path)
+        assert ones_match_mertens(seq), "the generated corpus fails its ones count"
+    return seq
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from conftest import ones_match_mertens
 from mobiuswalk import dirichlet, seqgen
 
 
@@ -276,20 +277,58 @@ def test_sequence_file_layout(tmp_path):
     assert payload[1] == 0b00000001  # last bit plus 7 zero pad bits
 
 
-def test_sequence_file_errors(tmp_path):
+def test_sequence_file_errors(tmp_path, monkeypatch):
     seq = seqgen.restricted_sequence(1, 8)
     path = tmp_path / "bad.msf"
     seqgen.write_sequence(seq, path)
+    good = path.read_bytes()
+    header = seqgen._HEADER.size
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("mapped before the file was checked")
+    monkeypatch.setattr(np, "memmap", no_map)
+    for raw in (b"XXXX" + good[4:],  # bad magic
+                good[:4] + (2).to_bytes(2, "little") + good[6:],  # bad version
+                good[:header - 1],  # truncated header
+                good[:header],  # header only, length 8
+                good[:-1],  # truncated payload
+                good + b"\0"):  # payload padded by one byte
+        path.write_bytes(raw)
+        with pytest.raises(seqgen.SequenceFormatError):
+            seqgen.read_sequence(path)
+    # a length-0 sequence has no payload to map
+    seqgen.write_sequence(seqgen.BitSequence.from_bits(3, np.empty(0, dtype=np.uint8)), path)
+    back = seqgen.read_sequence(path)
+    assert (back.start_ordinal, back.length, back.bits.size) == (3, 0, 0)
+
+
+def test_read_sequence_maps_the_payload(tmp_path, traced_peak):
+    # 4e6 ordinals are a 500 kB payload, mapped and not copied
+    n = 4 * 10 ** 6
+    bits = np.random.default_rng(7).integers(0, 2, size=n, dtype=np.uint8)
+    path = tmp_path / "big.msf"
+    seqgen.write_sequence(seqgen.BitSequence.from_bits(1, bits), path)
+    assert traced_peak(lambda: seqgen.read_sequence(path)) < 64 << 10
+    seq = seqgen.read_sequence(path)
+    assert type(seq.bits) is np.ndarray
+    assert not seq.bits.flags.writeable
+    window = seq.slice_bits(n // 2 + 3, 1000)
+    assert type(window) is np.ndarray
+    assert np.array_equal(window, bits[n // 2 + 2:n // 2 + 1002])
+
+
+@pytest.mark.parametrize("start, length", [(1, 1), (1, 5000), (2, 4999), (12345, 3001),
+                                           (10 ** 9, 20000)])
+def test_ones_count_matches_mertens(tmp_path, start, length):
+    path = tmp_path / "w.msf"
+    seqgen.generate_sequence_file(path, start, length)
+    assert ones_match_mertens(seqgen.read_sequence(path))
+    # one flipped bit breaks the count
     raw = bytearray(path.read_bytes())
-    raw[:4] = b"XXXX"
-    path.write_bytes(bytes(raw))
-    with pytest.raises(seqgen.SequenceFormatError):
-        seqgen.read_sequence(path)
-    # truncated payload
-    seqgen.write_sequence(seq, path)
-    path.write_bytes(path.read_bytes()[:-1])
-    with pytest.raises(seqgen.SequenceFormatError):
-        seqgen.read_sequence(path)
+    raw[seqgen._HEADER.size] ^= 1
+    flipped = tmp_path / "flipped.msf"
+    flipped.write_bytes(bytes(raw))
+    assert not ones_match_mertens(seqgen.read_sequence(flipped))
 
 
 def test_generate_sequence_file_working_set(tmp_path, traced_peak):
