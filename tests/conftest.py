@@ -30,7 +30,8 @@ def cache_dir() -> Path:
 def ones_match_mertens(seq: seqgen.BitSequence) -> bool:
     """Whether the ones over the ordinals [a, a + n) of seq number
     (n + M-hat(a + n - 1) - M-hat(a - 1)) / 2, with M-hat(0) = 0: two exact
-    Mertens values, computed without the sieve that wrote seq."""
+    Mertens values, which come from sublinear counts, not from sieving the
+    window that seq holds."""
     a, n = seq.start_ordinal, seq.length
     chunk = 1 << 24  # payload bytes counted at once
     ones = sum(int(np.bitwise_count(seq.bits[i:i + chunk]).sum(dtype=np.int64))
